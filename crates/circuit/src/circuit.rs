@@ -30,6 +30,60 @@ impl Op {
     }
 }
 
+/// Why an operation cannot join a circuit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum OperandError {
+    /// `(qubit, num_qubits)`: a qubit operand lies outside the register.
+    Qubit(usize, usize),
+    /// A gate names the same qubit twice (`cx q0 q0` is not a unitary on
+    /// the register).
+    Repeated(usize),
+    /// `(clbit, num_clbits)`: a measurement writes outside the classical
+    /// register.
+    Clbit(usize, usize),
+}
+
+impl fmt::Display for OperandError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OperandError::Qubit(q, n) => {
+                write!(f, "touches qubit {q} but the circuit has {n} qubits")
+            }
+            OperandError::Repeated(q) => write!(f, "repeats qubit {q}"),
+            OperandError::Clbit(c, n) => {
+                write!(f, "writes clbit {c} but the circuit has {n} clbits")
+            }
+        }
+    }
+}
+
+impl std::error::Error for OperandError {}
+
+/// Checks an op against registers of `num_qubits` qubits and `num_clbits`
+/// clbits: every operand in range, and no qubit repeated within a gate
+/// (a barrier may list one twice).
+pub(crate) fn check_operands(
+    op: &Op,
+    num_qubits: usize,
+    num_clbits: usize,
+) -> Result<(), OperandError> {
+    if let Op::Measure { clbit, .. } = op {
+        if *clbit >= num_clbits {
+            return Err(OperandError::Clbit(*clbit, num_clbits));
+        }
+    }
+    let qs = op.qubits();
+    for (i, &q) in qs.iter().enumerate() {
+        if q >= num_qubits {
+            return Err(OperandError::Qubit(q, num_qubits));
+        }
+        if matches!(op, Op::Gate(_)) && qs[..i].contains(&q) {
+            return Err(OperandError::Repeated(q));
+        }
+    }
+    Ok(())
+}
+
 /// An ordered quantum circuit over `num_qubits` qubits and `num_clbits`
 /// classical bits.
 ///
@@ -106,40 +160,30 @@ impl Circuit {
     }
 
     /// Appends a gate after validating its qubit operands.
+    ///
+    /// # Panics
+    /// Panics on an invalid operand; [`Circuit::try_push_op`] reports it
+    /// instead.
     pub fn push(&mut self, gate: Gate) -> &mut Self {
-        let qs = gate.qubits();
-        for &q in &qs {
-            assert!(
-                q < self.num_qubits,
-                "gate {gate} touches qubit {q} but the circuit has {} qubits",
-                self.num_qubits
-            );
-        }
-        // Reject duplicate operands (e.g. cx q0 q0), which are not unitary
-        // operations on the register.
-        for i in 0..qs.len() {
-            for j in (i + 1)..qs.len() {
-                assert!(qs[i] != qs[j], "gate {gate} repeats qubit {}", qs[i]);
-            }
-        }
-        self.ops.push(Op::Gate(gate));
-        self
+        self.push_op(Op::Gate(gate))
     }
 
     /// Appends an arbitrary op without builder sugar.
+    ///
+    /// # Panics
+    /// Panics on an invalid operand; [`Circuit::try_push_op`] reports it
+    /// instead.
     pub fn push_op(&mut self, op: Op) -> &mut Self {
-        match &op {
-            Op::Gate(g) => return self.push(g.clone()),
-            Op::Measure { qubit, clbit } => {
-                assert!(*qubit < self.num_qubits, "measure of out-of-range qubit");
-                assert!(*clbit < self.num_clbits, "measure into out-of-range clbit");
-            }
-            Op::Barrier(qs) => {
-                assert!(qs.iter().all(|&q| q < self.num_qubits));
-            }
-        }
+        self.try_push_op(op)
+            .unwrap_or_else(|e| panic!("invalid operation: {e}"))
+    }
+
+    /// Appends an op after validating its operands (see
+    /// [`OperandError`]).
+    pub fn try_push_op(&mut self, op: Op) -> Result<&mut Self, OperandError> {
+        check_operands(&op, self.num_qubits, self.num_clbits)?;
         self.ops.push(op);
-        self
+        Ok(self)
     }
 
     // --- builder sugar -----------------------------------------------------

@@ -36,7 +36,7 @@ pub mod param;
 pub mod text;
 pub mod transpile;
 
-pub use circuit::{Circuit, Op};
+pub use circuit::{Circuit, Op, OperandError};
 pub use gate::Gate;
 pub use hash::{canonical_hash, canonical_text, ContentHash};
 pub use param::{Angle, ParamCircuit, ParamOp};

@@ -6,7 +6,7 @@
 //! executable [`Circuit`] — mirroring how Qiskit's `Parameter` objects are
 //! bound before submission to a backend.
 
-use crate::circuit::{Circuit, Op};
+use crate::circuit::{check_operands, Circuit, Op, OperandError};
 use crate::gate::Gate;
 
 /// An angle that is either a literal or an affine function of one parameter:
@@ -149,7 +149,7 @@ impl ParamCircuit {
                 _ => None,
             })
             .max()
-            .map_or(0, |m| m + 1)
+            .map_or(0, |m| m.saturating_add(1))
     }
 
     /// The templated operation list.
@@ -158,15 +158,27 @@ impl ParamCircuit {
     }
 
     /// Appends a templated op.
+    ///
+    /// # Panics
+    /// Panics on an invalid operand; [`ParamCircuit::try_push`] reports it
+    /// instead.
     pub fn push(&mut self, op: ParamOp) -> &mut Self {
+        self.try_push(op)
+            .unwrap_or_else(|e| panic!("invalid operation: {e}"))
+    }
+
+    /// Appends a templated op after the operand checks of
+    /// [`Circuit::try_push_op`], applied to the op it binds to (measurements
+    /// write into a classical register as wide as the quantum one).
+    pub fn try_push(&mut self, op: ParamOp) -> Result<&mut Self, OperandError> {
+        check_operands(&op.concrete(|_| 0.0), self.num_qubits, self.num_qubits)?;
         self.ops.push(op);
-        self
+        Ok(self)
     }
 
     /// Appends a fixed gate.
     pub fn fixed(&mut self, gate: Gate) -> &mut Self {
-        self.ops.push(ParamOp::Fixed(gate));
-        self
+        self.push(ParamOp::Fixed(gate))
     }
 
     /// Hadamard sugar (QAOA's initial superposition layer).
@@ -211,40 +223,31 @@ impl ParamCircuit {
         let mut qc = Circuit::new(self.num_qubits);
         qc.name = self.name.clone();
         for op in &self.ops {
-            match op {
-                ParamOp::Rx(q, a) => {
-                    qc.push(Gate::Rx(*q, a.bind(params)));
-                }
-                ParamOp::Ry(q, a) => {
-                    qc.push(Gate::Ry(*q, a.bind(params)));
-                }
-                ParamOp::Rz(q, a) => {
-                    qc.push(Gate::Rz(*q, a.bind(params)));
-                }
-                ParamOp::Phase(q, a) => {
-                    qc.push(Gate::Phase(*q, a.bind(params)));
-                }
-                ParamOp::Rzz(x, y, a) => {
-                    qc.push(Gate::Rzz(*x, *y, a.bind(params)));
-                }
-                ParamOp::Rxx(x, y, a) => {
-                    qc.push(Gate::Rxx(*x, *y, a.bind(params)));
-                }
-                ParamOp::Cp(c, t, a) => {
-                    qc.push(Gate::Cp(*c, *t, a.bind(params)));
-                }
-                ParamOp::Fixed(g) => {
-                    qc.push(g.clone());
-                }
-                ParamOp::Measure { qubit, clbit } => {
-                    qc.push_op(Op::Measure {
-                        qubit: *qubit,
-                        clbit: *clbit,
-                    });
-                }
-            }
+            qc.push_op(op.concrete(|a| a.bind(params)));
         }
         qc
+    }
+}
+
+impl ParamOp {
+    /// The concrete op this one binds to, each angle evaluated by `angle`.
+    fn concrete(&self, angle: impl Fn(&Angle) -> f64) -> Op {
+        Op::Gate(match self {
+            ParamOp::Rx(q, a) => Gate::Rx(*q, angle(a)),
+            ParamOp::Ry(q, a) => Gate::Ry(*q, angle(a)),
+            ParamOp::Rz(q, a) => Gate::Rz(*q, angle(a)),
+            ParamOp::Phase(q, a) => Gate::Phase(*q, angle(a)),
+            ParamOp::Rzz(x, y, a) => Gate::Rzz(*x, *y, angle(a)),
+            ParamOp::Rxx(x, y, a) => Gate::Rxx(*x, *y, angle(a)),
+            ParamOp::Cp(c, t, a) => Gate::Cp(*c, *t, angle(a)),
+            ParamOp::Fixed(g) => g.clone(),
+            ParamOp::Measure { qubit, clbit } => {
+                return Op::Measure {
+                    qubit: *qubit,
+                    clbit: *clbit,
+                }
+            }
+        })
     }
 }
 

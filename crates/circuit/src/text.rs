@@ -20,7 +20,7 @@
 //! barrier
 //! ```
 
-use crate::circuit::{Circuit, Op};
+use crate::circuit::{Circuit, Op, OperandError};
 use crate::gate::Gate;
 use crate::param::{Angle, ParamCircuit, ParamOp};
 use qfw_num::complex::{c64, C64};
@@ -179,14 +179,9 @@ pub fn parse(text: &str) -> Result<Circuit, ParseError> {
 
     for (ln, line) in body {
         if let Some(rest) = line.strip_prefix("measure ") {
-            let mut it = rest.split_whitespace();
-            let q = parse_qubit(it.next().unwrap_or(""), ln)?;
-            let arrow = it.next().unwrap_or("");
-            if arrow != "->" {
-                return Err(err(ln, "measure expects 'q<i> -> c<j>'"));
-            }
-            let c = parse_clbit(it.next().unwrap_or(""), ln)?;
-            qc.push_op(Op::Measure { qubit: q, clbit: c });
+            let (qubit, clbit) = parse_measure(rest, ln)?;
+            qc.try_push_op(Op::Measure { qubit, clbit })
+                .map_err(operand(ln))?;
             continue;
         }
         if line == "barrier" {
@@ -198,11 +193,12 @@ pub fn parse(text: &str) -> Result<Circuit, ParseError> {
                 .split_whitespace()
                 .map(|t| parse_qubit(t, ln))
                 .collect::<Result<Vec<_>, _>>()?;
-            qc.push_op(Op::Barrier(qs));
+            qc.try_push_op(Op::Barrier(qs)).map_err(operand(ln))?;
             continue;
         }
         if let Some(rest) = line.strip_prefix("unitary[") {
-            qc.push(parse_unitary_line(rest, ln)?);
+            qc.try_push_op(Op::Gate(parse_unitary_line(rest, ln)?))
+                .map_err(operand(ln))?;
             continue;
         }
 
@@ -212,9 +208,25 @@ pub fn parse(text: &str) -> Result<Circuit, ParseError> {
             .iter()
             .map(|t| t.parse::<f64>().map_err(|_| err(ln, "bad parameter")))
             .collect::<Result<Vec<_>, _>>()?;
-        qc.push(build_fixed_gate(mnemonic, &params, &qs, ln)?);
+        qc.try_push_op(Op::Gate(build_fixed_gate(mnemonic, &params, &qs, ln)?))
+            .map_err(operand(ln))?;
     }
     Ok(qc)
+}
+
+/// Reports an op the circuit refused as a [`ParseError`] on line `ln`.
+fn operand(ln: usize) -> impl Fn(OperandError) -> ParseError {
+    move |e| err(ln, e.to_string())
+}
+
+/// Parses the remainder of a `measure q<i> -> c<j>` line.
+fn parse_measure(rest: &str, ln: usize) -> Result<(usize, usize), ParseError> {
+    let mut it = rest.split_whitespace();
+    let q = parse_qubit(it.next().unwrap_or(""), ln)?;
+    if it.next().unwrap_or("") != "->" {
+        return Err(err(ln, "measure expects 'q<i> -> c<j>'"));
+    }
+    Ok((q, parse_clbit(it.next().unwrap_or(""), ln)?))
 }
 
 /// Parses the remainder of a `unitary[label] q.. : data` line (after the
@@ -230,7 +242,11 @@ fn parse_unitary_line(rest: &str, ln: usize) -> Result<Gate, ParseError> {
         .split_whitespace()
         .map(|t| parse_qubit(t, ln))
         .collect::<Result<Vec<_>, _>>()?;
-    let dim = 1usize << qubits.len();
+    let dim = u32::try_from(qubits.len())
+        .ok()
+        .and_then(|n| 1usize.checked_shl(n))
+        .filter(|d| d.checked_mul(*d).is_some())
+        .ok_or_else(|| err(ln, "unitary over too many qubits"))?;
     let values = data
         .split_whitespace()
         .map(|pair| {
@@ -577,7 +593,7 @@ pub fn parse_param(text: &str) -> Result<(ParamCircuit, Option<Vec<f64>>), Parse
 
     let mut name = String::new();
     let mut num_qubits: Option<usize> = None;
-    let mut bound: Option<Vec<f64>> = None;
+    let mut bound: Option<(usize, Vec<f64>)> = None;
     let mut body: Vec<(usize, &str)> = Vec::new();
 
     for (ln, line) in lines {
@@ -593,7 +609,7 @@ pub fn parse_param(text: &str) -> Result<(ParamCircuit, Option<Vec<f64>>), Parse
                 .split_whitespace()
                 .map(|t| t.parse::<f64>().map_err(|_| err(ln, "bad bind value")))
                 .collect::<Result<Vec<_>, _>>()?;
-            bound = Some(vs);
+            bound = Some((ln, vs));
         } else {
             body.push((ln, line));
         }
@@ -605,17 +621,14 @@ pub fn parse_param(text: &str) -> Result<(ParamCircuit, Option<Vec<f64>>), Parse
 
     for (ln, line) in body {
         if let Some(rest) = line.strip_prefix("measure ") {
-            let mut it = rest.split_whitespace();
-            let q = parse_qubit(it.next().unwrap_or(""), ln)?;
-            if it.next().unwrap_or("") != "->" {
-                return Err(err(ln, "measure expects 'q<i> -> c<j>'"));
-            }
-            let c = parse_clbit(it.next().unwrap_or(""), ln)?;
-            t.push(ParamOp::Measure { qubit: q, clbit: c });
+            let (qubit, clbit) = parse_measure(rest, ln)?;
+            t.try_push(ParamOp::Measure { qubit, clbit })
+                .map_err(operand(ln))?;
             continue;
         }
         if let Some(rest) = line.strip_prefix("unitary[") {
-            t.fixed(parse_unitary_line(rest, ln)?);
+            t.try_push(ParamOp::Fixed(parse_unitary_line(rest, ln)?))
+                .map_err(operand(ln))?;
             continue;
         }
 
@@ -634,7 +647,7 @@ pub fn parse_param(text: &str) -> Result<(ParamCircuit, Option<Vec<f64>>), Parse
                 ));
             }
             let a = parse_angle_token(raw_params[0], ln)?;
-            t.push(match mnemonic {
+            let op = match mnemonic {
                 "rx" => ParamOp::Rx(qs[0], a),
                 "ry" => ParamOp::Ry(qs[0], a),
                 "rz" => ParamOp::Rz(qs[0], a),
@@ -642,7 +655,8 @@ pub fn parse_param(text: &str) -> Result<(ParamCircuit, Option<Vec<f64>>), Parse
                 "rzz" => ParamOp::Rzz(qs[0], qs[1], a),
                 "rxx" => ParamOp::Rxx(qs[0], qs[1], a),
                 _ => ParamOp::Cp(qs[0], qs[1], a),
-            });
+            };
+            t.try_push(op).map_err(operand(ln))?;
             continue;
         }
 
@@ -650,9 +664,22 @@ pub fn parse_param(text: &str) -> Result<(ParamCircuit, Option<Vec<f64>>), Parse
             .iter()
             .map(|tok| tok.parse::<f64>().map_err(|_| err(ln, "bad parameter")))
             .collect::<Result<Vec<_>, _>>()?;
-        t.fixed(build_fixed_gate(mnemonic, &params, &qs, ln)?);
+        t.try_push(ParamOp::Fixed(build_fixed_gate(
+            mnemonic, &params, &qs, ln,
+        )?))
+        .map_err(operand(ln))?;
     }
-    Ok((t, bound))
+    match bound {
+        Some((ln, vs)) if vs.len() < t.num_params() => Err(err(
+            ln,
+            format!(
+                "bind gives {} values but the template references {}",
+                vs.len(),
+                t.num_params()
+            ),
+        )),
+        bound => Ok((t, bound.map(|(_, vs)| vs))),
+    }
 }
 
 #[cfg(test)]
@@ -695,6 +722,31 @@ mod tests {
             .barrier()
             .measure_all();
         assert_eq!(round_trip(&qc), qc);
+    }
+
+    #[test]
+    fn invalid_operands_are_parse_errors_not_panics() {
+        // Each of these used to panic inside the parser's push.
+        for (src, line) in [
+            ("qfwasm 1\nqubits 3\ncx q0 q7\n", 3),
+            ("qfwasm 1\nqubits 3\ncx q1 q1\n", 3),
+            ("qfwasm 1\nqubits 1\nclbits 1\nmeasure q0 -> c5\n", 4),
+            ("qfwasm 1\nqubits 2\nbarrier q9\n", 3),
+        ] {
+            let e = parse(src).expect_err(src);
+            assert_eq!(e.line, line, "{src}: {e}");
+        }
+        // The parameterized format validates at parse time too, so `bind`
+        // can no longer panic on what the parser accepted.
+        for (src, line) in [
+            ("qfwasm-param 1\nqubits 3\ncx q0 q7\n", 3),
+            ("qfwasm-param 1\nqubits 3\nrzz(@0) q1 q1\nbind 0.5\n", 3),
+            ("qfwasm-param 1\nqubits 1\nmeasure q0 -> c5\n", 3),
+            ("qfwasm-param 1\nqubits 2\nrx(@3) q0\nbind 0.5\n", 4),
+        ] {
+            let e = parse_param(src).expect_err(src);
+            assert_eq!(e.line, line, "{src}: {e}");
+        }
     }
 
     #[test]

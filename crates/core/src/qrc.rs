@@ -346,7 +346,7 @@ impl Qrc {
             obs: &self.obs,
         };
         self.invocations.fetch_add(1, Ordering::Relaxed);
-        let outcome = backend.execute(task, &ctx);
+        let outcome = guarded(|| backend.execute(task, &ctx));
         exec_span.set_attr("ok", outcome.is_ok());
         drop(exec_span);
         slot.tasks_run.fetch_add(1, Ordering::Relaxed);
@@ -408,7 +408,7 @@ impl Qrc {
         let mut results = Vec::with_capacity(tasks.len());
         for task in tasks {
             let outcome = match self.registry.get(&task.spec.backend) {
-                Ok(backend) => backend.execute(task, &ctx).map(|mut result| {
+                Ok(backend) => guarded(|| backend.execute(task, &ctx)).map(|mut result| {
                     result.profile.queue_secs += queue_secs;
                     result
                 }),
@@ -460,7 +460,7 @@ impl Qrc {
             obs: &self.obs,
         };
         self.invocations.fetch_add(1, Ordering::Relaxed);
-        let outcome = backend.execute_sweep(task, &ctx);
+        let outcome = guarded(|| backend.execute_sweep(task, &ctx));
         sweep_span.set_attr("ok", outcome.is_ok());
         drop(sweep_span);
         slot.tasks_run.fetch_add(task.points.len() as u64, Ordering::Relaxed);
@@ -668,6 +668,14 @@ impl Qrc {
         *active = 0;
         slot.freed.notify_all();
     }
+}
+
+/// Runs one engine call on an acquired slot. An engine panic becomes a
+/// typed error for that call alone, so the caller still releases the slot
+/// and the job fails instead of hanging.
+fn guarded<T>(call: impl FnOnce() -> Result<T, QfwError>) -> Result<T, QfwError> {
+    qfw_defw::catch_panic(call)
+        .unwrap_or_else(|msg| Err(QfwError::Execution(format!("engine panicked: {msg}"))))
 }
 
 #[cfg(test)]

@@ -3,41 +3,49 @@
 //! In the paper, every interaction between the frontend (`QFwBackend`) and
 //! the platform manager (QPM) — circuit creation, execution, status queries,
 //! teardown — travels as an RPC over DEFw (Section 2.1, Fig. 1 step-5). This
-//! crate reproduces that layer in-process:
+//! crate reproduces that layer in-process as one transport:
 //!
-//! * [`Defw`] — a service registry plus a dispatcher thread pool. Handlers
-//!   receive *bytes* and return bytes: requests are genuinely marshaled
-//!   (serde_json) on the way in and out, like the paper's "results are
-//!   marshaled into the common QPM API format".
+//! * [`Defw`] — a service registry plus one dispatcher pool draining one
+//!   **bounded** request queue ([`QUEUE_DEPTH`]). Handlers receive *bytes*
+//!   and return bytes: requests are genuinely marshaled (serde_json) on the
+//!   way in and out, like the paper's "results are marshaled into the
+//!   common QPM API format". Admission never blocks and never buffers past
+//!   the bound: a full queue fails the send at once with a typed
+//!   [`RpcError::Overloaded`] carrying a drain-time hint.
+//! * Panic isolation — every handler runs under `catch_unwind`. A panic
+//!   answers its one request with [`RpcError::Internal`] and bumps the
+//!   `defw.handler_panics` counter; the worker lives on.
 //! * [`Client`] — typed sync ([`Client::call`]) and async
 //!   ([`Client::call_async`]) calls with correlation IDs, timeouts, and
 //!   structured error propagation.
-//! * Per-service call statistics, feeding QFw's uniform timing/logging
-//!   instrumentation.
+//! * [`Connection`] — a handle bound to one service for pipelined traffic:
+//!   [`Connection::send`] returns a correlation id at once,
+//!   [`Connection::wait`] claims replies in any order, and a reply whose
+//!   wait timed out stays claimable.
+//! * Per-service call statistics ([`Defw::service_stats`]) and hub-wide
+//!   admission counts ([`Defw::stats`]), feeding QFw's uniform
+//!   timing/logging instrumentation.
 //! * Resilience hooks: a seeded [`FaultPlan`] (from `qfw-chaos`) can drop
 //!   replies, delay handlers, or poison codec paths deterministically;
 //!   [`Client::call_with_retry`] layers exponential backoff on top, and
 //!   per-service [`CircuitBreaker`]s (see [`Defw::enable_breakers`]) shed
 //!   load from services that keep failing.
-//! * [`ingress`] — the pipelined, multiplexed data-plane front door:
-//!   bounded-queue admission with typed [`IngressError::Overloaded`]
-//!   backpressure and per-request correlation ids, for workloads that
-//!   outgrow the one-channel-per-call hub.
 
-pub mod ingress;
-
-pub use ingress::{Connection, Ingress, IngressConfig, IngressError, IngressStats, ReplyFrame};
-
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use parking_lot::{Mutex, RwLock};
 pub use qfw_chaos::{BreakerPhase, CircuitBreaker, FaultPlan, FaultSpec, RetryPolicy};
 use qfw_obs::Obs;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Admitted-but-undispatched requests the hub holds. A send beyond it
+/// fails with [`RpcError::Overloaded`].
+pub const QUEUE_DEPTH: usize = 1024;
 
 /// Errors surfaced by RPC calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +74,15 @@ pub enum RpcError {
     /// The service's circuit breaker is open: the call was shed without
     /// ever being enqueued.
     CircuitOpen(String),
+    /// The request queue is full; retry after the hinted backoff, the
+    /// expected time for the backlog ahead to drain.
+    Overloaded {
+        /// Suggested client backoff before retrying.
+        retry_after: Duration,
+    },
+    /// The handler panicked. The panic cost this one request; the worker
+    /// that ran it keeps serving.
+    Internal(String),
     /// The RPC layer was shut down while the call was in flight.
     Shutdown,
 }
@@ -88,12 +105,29 @@ impl std::fmt::Display for RpcError {
             RpcError::CircuitOpen(service) => {
                 write!(f, "circuit breaker for '{service}' is open")
             }
+            RpcError::Overloaded { retry_after } => {
+                write!(f, "rpc queue full; retry after {retry_after:?}")
+            }
+            RpcError::Internal(msg) => write!(f, "handler panicked: {msg}"),
             RpcError::Shutdown => write!(f, "rpc layer shut down"),
         }
     }
 }
 
 impl std::error::Error for RpcError {}
+
+/// Runs `f`, turning a panic into its message. The one place the stack
+/// converts a panic into a value: the hub's workers and the QRC's engine
+/// slots both go through it.
+pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
+}
 
 /// A byte-level service handler. Implementors usually wrap
 /// [`json_handler`] to stay typed.
@@ -135,6 +169,7 @@ struct Request {
     /// Shared, not owned: retries re-enqueue the same serialized bytes
     /// instead of re-marshaling the request per attempt.
     payload: Arc<Vec<u8>>,
+    correlation: u64,
     /// 1-based attempt number ([`Client::call_with_retry`] increments it).
     attempt: u32,
     reply: ReplySender,
@@ -152,11 +187,32 @@ pub struct ServiceStats {
     pub busy_secs: f64,
 }
 
+/// Point-in-time counts across every service on the hub.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HubStats {
+    /// Requests admitted into the queue.
+    pub accepted: u64,
+    /// Requests refused with [`RpcError::Overloaded`] at admission.
+    pub rejected: u64,
+    /// Requests fully handled (ok or error).
+    pub completed: u64,
+    /// Handled requests that returned an error.
+    pub errors: u64,
+}
+
 struct Inner {
-    services: Mutex<HashMap<String, Arc<dyn Service>>>,
+    /// Read by every dispatch, written only by (un)registration: workers
+    /// never serialize on the lookup.
+    services: RwLock<HashMap<String, Arc<dyn Service>>>,
     stats: Mutex<HashMap<String, ServiceStats>>,
     queue: Sender<Request>,
+    workers: usize,
     correlation: AtomicU64,
+    /// EWMA of per-request handle time, microseconds (seeded at 1 ms):
+    /// the service-rate estimate behind the `Overloaded` hint.
+    avg_handle_us: AtomicU64,
+    accepted: AtomicU64,
+    rejected: AtomicU64,
     chaos: Arc<FaultPlan>,
     obs: Obs,
     /// `Some((threshold, cooldown))` once breakers are enabled; breakers
@@ -170,7 +226,98 @@ struct Inner {
     dropped_replies: Mutex<Vec<ReplySender>>,
 }
 
-/// The RPC hub: owns the dispatcher pool and the service registry.
+impl Inner {
+    /// Expected drain time for the current backlog: the `Overloaded` hint.
+    /// `avg_handle_us x ceil(backlog / workers)`, clamped to [100 µs, 60 s].
+    fn retry_after(&self) -> Duration {
+        let avg_us = self.avg_handle_us.load(Ordering::Relaxed).max(1);
+        let backlog = self.queue.len() as u64 + 1;
+        let positions = backlog.div_ceil(self.workers as u64);
+        Duration::from_micros((avg_us * positions).clamp(100, 60_000_000))
+    }
+
+    /// Runs one request: chaos sites, the handler under panic isolation,
+    /// accounting, and the reply.
+    fn dispatch(&self, req: Request) {
+        let (chaos, obs) = (&self.chaos, &self.obs);
+        let mut span = obs.span("defw", "rpc.handle");
+        span.set_attr("method", req.method.as_str());
+        span.set_attr("service", req.service.as_str());
+        span.set_attr("correlation", req.correlation);
+        span.set_attr("attempt", u64::from(req.attempt));
+        span.set_attr("payload_bytes", req.payload.len());
+        if chaos.is_enabled() {
+            if let Some(d) = chaos.delay(&format!("defw.delay.{}", req.service)) {
+                std::thread::sleep(d);
+            }
+        }
+        let poisoned = chaos.is_enabled() && chaos.fires(&format!("defw.poison.{}", req.service));
+        let started = Instant::now();
+        let result = if poisoned {
+            Err(RpcError::Codec(format!(
+                "injected codec fault on '{}'",
+                req.service
+            )))
+        } else {
+            let service = self.services.read().get(&req.service).cloned();
+            match service {
+                None => Err(RpcError::ServiceNotFound(req.service.clone())),
+                Some(svc) => {
+                    catch_panic(|| svc.handle(&req.method, &req.payload)).unwrap_or_else(|msg| {
+                        if obs.is_enabled() {
+                            obs.counter("defw.handler_panics").inc();
+                        }
+                        Err(RpcError::Internal(msg))
+                    })
+                }
+            }
+        };
+        // EWMA (7/8 old, 1/8 new): cheap, lock-free service-rate estimate.
+        let handle_us = started.elapsed().as_micros() as u64;
+        let old = self.avg_handle_us.load(Ordering::Relaxed);
+        self.avg_handle_us.store(
+            (old.saturating_mul(7) + handle_us.max(1)) / 8,
+            Ordering::Relaxed,
+        );
+        span.set_attr("ok", result.is_ok());
+        let (handle_start, handle_end) = span.finish();
+        if obs.is_enabled() {
+            obs.counter("defw.calls").inc();
+            if result.is_err() {
+                obs.counter("defw.errors").inc();
+            }
+            // Handler latency measured on the obs clock, so the
+            // histogram stays deterministic under the virtual clock.
+            obs.histogram("defw.handle_us")
+                .observe_us(handle_end.saturating_sub(handle_start));
+        }
+        let elapsed = req.enqueued.elapsed().as_secs_f64();
+        {
+            let mut stats = self.stats.lock();
+            // The key is cloned once per service, not once per call.
+            if !stats.contains_key(&req.service) {
+                stats.insert(req.service.clone(), ServiceStats::default());
+            }
+            let entry = stats.get_mut(&req.service).expect("inserted above");
+            entry.calls += 1;
+            if result.is_err() {
+                entry.errors += 1;
+            }
+            entry.busy_secs += elapsed;
+        }
+        if chaos.is_enabled() && chaos.fires(&format!("defw.drop_reply.{}", req.service)) {
+            // The reply vanishes in transit; the caller's deadline
+            // fires and retry logic takes over.
+            self.dropped_replies.lock().push(req.reply);
+            return;
+        }
+        // Receiver may have timed out and gone — that's fine.
+        let _ = req.reply.send(result);
+    }
+}
+
+/// The RPC hub: owns the dispatcher pool, the bounded request queue, and
+/// the service registry.
 pub struct Defw {
     inner: Arc<Inner>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -198,6 +345,10 @@ impl Defw {
     /// injections from the plan are annotated into the trace as
     /// `chaos.fire` instant events.
     pub fn start_full(workers: usize, chaos: Arc<FaultPlan>, obs: Obs) -> Defw {
+        Self::launch(workers, QUEUE_DEPTH, chaos, obs)
+    }
+
+    fn launch(workers: usize, queue_depth: usize, chaos: Arc<FaultPlan>, obs: Obs) -> Defw {
         assert!(workers >= 1, "need at least one dispatcher");
         if chaos.is_enabled() && obs.is_enabled() {
             let chaos_obs = obs.clone();
@@ -210,12 +361,16 @@ impl Defw {
                 );
             });
         }
-        let (tx, rx): (Sender<Request>, Receiver<Request>) = unbounded();
+        let (tx, rx): (Sender<Request>, Receiver<Request>) = bounded(queue_depth);
         let inner = Arc::new(Inner {
-            services: Mutex::new(HashMap::new()),
+            services: RwLock::new(HashMap::new()),
             stats: Mutex::new(HashMap::new()),
             queue: tx,
+            workers,
             correlation: AtomicU64::new(1),
+            avg_handle_us: AtomicU64::new(1_000),
+            accepted: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
             chaos,
             obs,
             breaker_config: Mutex::new(None),
@@ -228,7 +383,11 @@ impl Defw {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("defw-worker-{i}"))
-                    .spawn(move || Self::worker_loop(rx, inner))
+                    .spawn(move || {
+                        while let Ok(req) = rx.recv() {
+                            inner.dispatch(req);
+                        }
+                    })
                     .expect("spawn defw worker")
             })
             .collect();
@@ -238,87 +397,47 @@ impl Defw {
         }
     }
 
-    fn worker_loop(rx: Receiver<Request>, inner: Arc<Inner>) {
-        let chaos = Arc::clone(&inner.chaos);
-        let obs = inner.obs.clone();
-        while let Ok(req) = rx.recv() {
-            let mut span = obs.span("defw", "rpc.handle");
-            span.set_attr("method", req.method.as_str());
-            span.set_attr("service", req.service.as_str());
-            span.set_attr("attempt", u64::from(req.attempt));
-            span.set_attr("payload_bytes", req.payload.len());
-            if chaos.is_enabled() {
-                if let Some(d) = chaos.delay(&format!("defw.delay.{}", req.service)) {
-                    std::thread::sleep(d);
-                }
-            }
-            let poisoned =
-                chaos.is_enabled() && chaos.fires(&format!("defw.poison.{}", req.service));
-            let result = if poisoned {
-                Err(RpcError::Codec(format!(
-                    "injected codec fault on '{}'",
-                    req.service
-                )))
-            } else {
-                let service = inner.services.lock().get(&req.service).cloned();
-                match service {
-                    None => Err(RpcError::ServiceNotFound(req.service.clone())),
-                    Some(svc) => svc.handle(&req.method, &req.payload),
-                }
-            };
-            span.set_attr("ok", result.is_ok());
-            let (handle_start, handle_end) = span.finish();
-            if obs.is_enabled() {
-                obs.counter("defw.calls").inc();
-                if result.is_err() {
-                    obs.counter("defw.errors").inc();
-                }
-                // Handler latency measured on the obs clock, so the
-                // histogram stays deterministic under the virtual clock.
-                obs.histogram("defw.handle_us")
-                    .observe_us(handle_end.saturating_sub(handle_start));
-            }
-            let elapsed = req.enqueued.elapsed().as_secs_f64();
-            {
-                let mut stats = inner.stats.lock();
-                let entry = stats.entry(req.service.clone()).or_default();
-                entry.calls += 1;
-                if result.is_err() {
-                    entry.errors += 1;
-                }
-                entry.busy_secs += elapsed;
-            }
-            if chaos.is_enabled() && chaos.fires(&format!("defw.drop_reply.{}", req.service)) {
-                // The reply vanishes in transit; the caller's deadline
-                // fires and retry logic takes over.
-                inner.dropped_replies.lock().push(req.reply);
-                continue;
-            }
-            // Receiver may have timed out and gone — that's fine.
-            let _ = req.reply.send(result);
-        }
-    }
-
     /// Registers (or replaces) a service.
     pub fn register(&self, name: impl Into<String>, service: Arc<dyn Service>) {
-        self.inner.services.lock().insert(name.into(), service);
+        self.inner.services.write().insert(name.into(), service);
     }
 
     /// Removes a service; later calls fail with `ServiceNotFound`.
     pub fn unregister(&self, name: &str) {
-        self.inner.services.lock().remove(name);
+        self.inner.services.write().remove(name);
     }
 
     /// Registered service names, sorted.
     pub fn services(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.services.lock().keys().cloned().collect();
+        let mut names: Vec<String> = self.inner.services.read().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Statistics for one service, if it has received calls.
-    pub fn stats(&self, name: &str) -> Option<ServiceStats> {
+    pub fn service_stats(&self, name: &str) -> Option<ServiceStats> {
         self.inner.stats.lock().get(name).copied()
+    }
+
+    /// Hub-wide admission and completion counts.
+    pub fn stats(&self) -> HubStats {
+        let (completed, errors) = self
+            .inner
+            .stats
+            .lock()
+            .values()
+            .fold((0, 0), |(c, e), s| (c + s.calls, e + s.errors));
+        HubStats {
+            accepted: self.inner.accepted.load(Ordering::Relaxed),
+            rejected: self.inner.rejected.load(Ordering::Relaxed),
+            completed,
+            errors,
+        }
+    }
+
+    /// Requests admitted but not yet dispatched.
+    pub fn queue_len(&self) -> usize {
+        self.inner.queue.len()
     }
 
     /// The hub's fault plan (disabled unless started via
@@ -355,6 +474,15 @@ impl Defw {
     pub fn client(&self) -> Client {
         Client {
             inner: Arc::clone(&self.inner),
+        }
+    }
+
+    /// Opens a pipelined connection to one service (cheap; no handshake).
+    pub fn connect(&self, service: &str) -> Connection {
+        Connection {
+            client: self.client(),
+            service: service.to_string(),
+            pending: Mutex::new(HashMap::new()),
         }
     }
 
@@ -395,10 +523,10 @@ impl Client {
     }
 
     /// Synchronous call retried per `policy` on transient failures
-    /// (timeouts, handler errors, open breakers). Each attempt gets
-    /// `timeout`; between attempts the thread sleeps the policy's jittered
-    /// backoff. On exhaustion the last error is returned — for timeouts
-    /// with the total attempt count filled in.
+    /// (timeouts, handler errors, open breakers, a full queue). Each
+    /// attempt gets `timeout`; between attempts the thread sleeps the
+    /// policy's jittered backoff. On exhaustion the last error is returned
+    /// — for timeouts with the total attempt count filled in.
     pub fn call_with_retry<Req: Serialize, Resp: DeserializeOwned>(
         &self,
         service: &str,
@@ -409,19 +537,18 @@ impl Client {
     ) -> Result<Resp, RpcError> {
         // Marshal once: every retry re-enqueues the same Arc'd bytes, so
         // chaos-injected retry storms never pay per-attempt serialization.
-        let payload = Arc::new(
-            serde_json::to_vec(req).map_err(|e| RpcError::Codec(e.to_string()))?,
-        );
+        let payload = Arc::new(encode(req)?);
         let mut schedule = policy.schedule();
         loop {
             let attempt = schedule.attempts();
             let outcome = self
                 .send_raw(service, method, Arc::clone(&payload), attempt)
-                .and_then(|reply: AsyncReply<Resp>| reply.wait(timeout));
+                .and_then(|pending| decode(pending.recv(timeout)?));
             let transient = match outcome {
                 Err(e @ RpcError::Timeout { .. })
                 | Err(e @ RpcError::Handler(_))
-                | Err(e @ RpcError::CircuitOpen(_)) => e,
+                | Err(e @ RpcError::CircuitOpen(_))
+                | Err(e @ RpcError::Overloaded { .. }) => e,
                 other => return other,
             };
             match schedule.next_backoff() {
@@ -463,27 +590,30 @@ impl Client {
         method: &str,
         req: &Req,
     ) -> Result<AsyncReply<Resp>, RpcError> {
-        let payload = Arc::new(
-            serde_json::to_vec(req).map_err(|e| RpcError::Codec(e.to_string()))?,
-        );
-        self.send_raw(service, method, payload, 1)
+        let pending = self.send_raw(service, method, Arc::new(encode(req)?), 1)?;
+        Ok(AsyncReply {
+            pending,
+            _marker: std::marker::PhantomData,
+        })
     }
 
-    /// Enqueues already-serialized bytes (shared by value, so retries and
-    /// fan-out never copy the payload).
-    fn send_raw<Resp: DeserializeOwned>(
+    /// Admits already-serialized bytes (shared by value, so retries and
+    /// fan-out never copy the payload). Never blocks: a full queue fails
+    /// with [`RpcError::Overloaded`].
+    fn send_raw(
         &self,
         service: &str,
         method: &str,
         payload: Arc<Vec<u8>>,
         attempt: u32,
-    ) -> Result<AsyncReply<Resp>, RpcError> {
+    ) -> Result<Pending, RpcError> {
+        let inner = &self.inner;
         let breaker = self.breaker_for(service);
         if let Some(b) = &breaker {
             if !b.allow() {
-                if self.inner.obs.is_enabled() {
-                    self.inner.obs.counter("defw.circuit_open").inc();
-                    self.inner.obs.instant_with(
+                if inner.obs.is_enabled() {
+                    inner.obs.counter("defw.circuit_open").inc();
+                    inner.obs.instant_with(
                         "defw",
                         "rpc.circuit_open",
                         &[("service", service.into())],
@@ -492,25 +622,40 @@ impl Client {
                 return Err(RpcError::CircuitOpen(service.to_string()));
             }
         }
-        let correlation = self.inner.correlation.fetch_add(1, Ordering::Relaxed);
+        let correlation = inner.correlation.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
-        self.inner
-            .queue
-            .send(Request {
-                service: service.to_string(),
-                method: method.to_string(),
-                payload,
-                attempt,
-                reply: tx,
-                enqueued: Instant::now(),
-            })
-            .map_err(|_| RpcError::Shutdown)?;
-        Ok(AsyncReply {
+        let request = Request {
+            service: service.to_string(),
+            method: method.to_string(),
+            payload,
             correlation,
-            rx,
-            breaker,
-            _marker: std::marker::PhantomData,
-        })
+            attempt,
+            reply: tx,
+            enqueued: Instant::now(),
+        };
+        match inner.queue.try_send(request) {
+            Ok(()) => {
+                inner.accepted.fetch_add(1, Ordering::Relaxed);
+                if inner.obs.is_enabled() {
+                    inner.obs.counter("defw.accepted").inc();
+                }
+                Ok(Pending {
+                    correlation,
+                    rx,
+                    breaker,
+                })
+            }
+            Err(TrySendError::Full(_)) => {
+                inner.rejected.fetch_add(1, Ordering::Relaxed);
+                if inner.obs.is_enabled() {
+                    inner.obs.counter("defw.rejected").inc();
+                }
+                Err(RpcError::Overloaded {
+                    retry_after: inner.retry_after(),
+                })
+            }
+            Err(TrySendError::Disconnected(_)) => Err(RpcError::Shutdown),
+        }
     }
 
     /// The service's breaker, created on first use once
@@ -526,63 +671,142 @@ impl Client {
     }
 }
 
-/// Handle to an in-flight RPC reply.
-pub struct AsyncReply<Resp> {
+fn encode<Req: Serialize>(req: &Req) -> Result<Vec<u8>, RpcError> {
+    serde_json::to_vec(req).map_err(|e| RpcError::Codec(e.to_string()))
+}
+
+fn decode<Resp: DeserializeOwned>(bytes: Vec<u8>) -> Result<Resp, RpcError> {
+    serde_json::from_slice(&bytes).map_err(|e| RpcError::Codec(e.to_string()))
+}
+
+/// One admitted request's reply path: its own single-slot channel, so a
+/// reply can never reach another caller.
+struct Pending {
     correlation: u64,
     rx: Receiver<Result<Vec<u8>, RpcError>>,
     breaker: Option<Arc<CircuitBreaker>>,
+}
+
+impl Pending {
+    /// Feeds a settled outcome to the service's breaker, if one exists.
+    /// Timeouts, handler errors and handler panics count as service
+    /// failures; codec and routing errors are the caller's problem and
+    /// stay neutral.
+    fn settle(&self, outcome: Result<Vec<u8>, RpcError>) -> Result<Vec<u8>, RpcError> {
+        if let Some(breaker) = &self.breaker {
+            match &outcome {
+                Ok(_) => breaker.record_success(),
+                Err(RpcError::Timeout { .. })
+                | Err(RpcError::Handler(_))
+                | Err(RpcError::Internal(_)) => breaker.record_failure(),
+                Err(_) => {}
+            }
+        }
+        outcome
+    }
+
+    /// Blocks until the reply arrives or the deadline passes. A timeout
+    /// leaves the reply claimable by a later call.
+    fn recv(&self, timeout: Duration) -> Result<Vec<u8>, RpcError> {
+        self.settle(match self.rx.recv_timeout(timeout) {
+            Ok(reply) => reply,
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(RpcError::Timeout {
+                correlation: self.correlation,
+                attempts: 1,
+            }),
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(RpcError::Shutdown),
+        })
+    }
+
+    /// Non-blocking poll: `None` while the call is still in flight.
+    fn try_recv(&self) -> Option<Result<Vec<u8>, RpcError>> {
+        let reply = match self.rx.try_recv() {
+            Ok(reply) => reply,
+            Err(crossbeam::channel::TryRecvError::Empty) => return None,
+            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(RpcError::Shutdown),
+        };
+        Some(self.settle(reply))
+    }
+}
+
+/// Handle to an in-flight RPC reply.
+pub struct AsyncReply<Resp> {
+    pending: Pending,
     _marker: std::marker::PhantomData<fn() -> Resp>,
 }
 
 impl<Resp: DeserializeOwned> AsyncReply<Resp> {
     /// The call's correlation ID (appears in timeout errors and logs).
     pub fn correlation(&self) -> u64 {
-        self.correlation
-    }
-
-    /// Feeds the call outcome to the service's breaker, if one exists.
-    /// Timeouts and handler errors count as service failures; codec and
-    /// routing errors are the caller's problem and stay neutral.
-    fn record(&self, outcome: &Result<Resp, RpcError>) {
-        let Some(breaker) = &self.breaker else { return };
-        match outcome {
-            Ok(_) => breaker.record_success(),
-            Err(RpcError::Timeout { .. }) | Err(RpcError::Handler(_)) => {
-                breaker.record_failure()
-            }
-            Err(_) => {}
-        }
+        self.pending.correlation
     }
 
     /// Blocks until the reply arrives or the deadline passes.
     pub fn wait(self, timeout: Duration) -> Result<Resp, RpcError> {
-        let outcome = match self.rx.recv_timeout(timeout) {
-            Ok(Ok(bytes)) => {
-                serde_json::from_slice(&bytes).map_err(|e| RpcError::Codec(e.to_string()))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(RpcError::Timeout {
-                correlation: self.correlation,
-                attempts: 1,
-            }),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(RpcError::Shutdown),
-        };
-        self.record(&outcome);
-        outcome
+        decode(self.pending.recv(timeout)?)
     }
 
     /// Non-blocking poll: `None` while the call is still in flight.
     pub fn try_wait(&self) -> Option<Result<Resp, RpcError>> {
-        let outcome = match self.rx.try_recv() {
-            Ok(Ok(bytes)) => {
-                serde_json::from_slice(&bytes).map_err(|e| RpcError::Codec(e.to_string()))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(crossbeam::channel::TryRecvError::Empty) => return None,
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(RpcError::Shutdown),
+        self.pending.try_recv().map(|reply| decode(reply?))
+    }
+}
+
+/// A pipelined client bound to one service, from [`Defw::connect`].
+///
+/// Many requests can be in flight at once; each is claimed by its
+/// correlation id, in any order. Not `Clone` — each concurrent logical
+/// client opens its own connection.
+pub struct Connection {
+    client: Client,
+    service: String,
+    /// Admitted requests whose replies have not been claimed yet.
+    pending: Mutex<HashMap<u64, Pending>>,
+}
+
+impl Connection {
+    /// Admits pre-serialized bytes; returns the correlation id to claim
+    /// the reply with. Fails fast with [`RpcError::Overloaded`] when the
+    /// queue is full — never blocks, never buffers beyond the bound.
+    pub fn send_raw(&self, method: &str, payload: Arc<Vec<u8>>) -> Result<u64, RpcError> {
+        let pending = self.client.send_raw(&self.service, method, payload, 1)?;
+        let correlation = pending.correlation;
+        self.pending.lock().insert(correlation, pending);
+        Ok(correlation)
+    }
+
+    /// Typed [`Connection::send_raw`]: serializes `req` as JSON.
+    pub fn send<Req: Serialize>(&self, method: &str, req: &Req) -> Result<u64, RpcError> {
+        self.send_raw(method, Arc::new(encode(req)?))
+    }
+
+    /// Blocks for the reply to one request. On timeout the reply stays
+    /// claimable by a later wait. An id with nothing pending on this
+    /// connection (never sent here, or already claimed) fails at once with
+    /// a zero-attempt `Timeout`.
+    pub fn wait(&self, correlation: u64, timeout: Duration) -> Result<Vec<u8>, RpcError> {
+        let Some(pending) = self.pending.lock().remove(&correlation) else {
+            return Err(RpcError::Timeout {
+                correlation,
+                attempts: 0,
+            });
         };
-        self.record(&outcome);
-        Some(outcome)
+        let reply = pending.recv(timeout);
+        if matches!(reply, Err(RpcError::Timeout { .. })) {
+            self.pending.lock().insert(correlation, pending);
+        }
+        reply
+    }
+
+    /// Typed request/response: send, wait, decode.
+    pub fn call<Req: Serialize, Resp: DeserializeOwned>(
+        &self,
+        method: &str,
+        req: &Req,
+        timeout: Duration,
+    ) -> Result<Resp, RpcError> {
+        let correlation = self.send(method, req)?;
+        decode(self.wait(correlation, timeout)?)
     }
 }
 
@@ -644,6 +868,10 @@ mod tests {
             .method("echo", |v: String| Ok(v))
             .method("double", |v: f64| Ok(v * 2.0))
             .method("fail", |_: String| Err::<String, _>("nope".to_string()))
+            .method("slow", |ms: u64| {
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(ms)
+            })
             .build()
     }
 
@@ -688,20 +916,14 @@ mod tests {
 
     #[test]
     fn async_calls_overlap() {
-        // One slow service, several in-flight calls on 4 workers: total
+        // One slow method, several in-flight calls on 4 workers: total
         // time must be far below the serial sum.
-        let slow = MethodTable::new("slow")
-            .method("work", |ms: u64| {
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(ms)
-            })
-            .build();
         let hub = Defw::start(4);
-        hub.register("slow", slow);
+        hub.register("echo", echo_service());
         let client = hub.client();
         let start = Instant::now();
         let replies: Vec<AsyncReply<u64>> = (0..4)
-            .map(|_| client.call_async("slow", "work", &50u64).unwrap())
+            .map(|_| client.call_async("echo", "slow", &50u64).unwrap())
             .collect();
         let sum: u64 = replies.into_iter().map(|r| r.wait(T).unwrap()).sum();
         assert_eq!(sum, 200);
@@ -714,15 +936,12 @@ mod tests {
 
     #[test]
     fn try_wait_polls() {
-        let slow = MethodTable::new("slow")
-            .method("work", |ms: u64| {
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(ms)
-            })
-            .build();
         let hub = Defw::start(1);
-        hub.register("slow", slow);
-        let reply = hub.client().call_async::<_, u64>("slow", "work", &80u64).unwrap();
+        hub.register("echo", echo_service());
+        let reply = hub
+            .client()
+            .call_async::<_, u64>("echo", "slow", &80u64)
+            .unwrap();
         assert!(reply.try_wait().is_none());
         let mut result = None;
         for _ in 0..100 {
@@ -737,17 +956,11 @@ mod tests {
 
     #[test]
     fn timeout_fires() {
-        let slow = MethodTable::new("slow")
-            .method("work", |ms: u64| {
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(ms)
-            })
-            .build();
         let hub = Defw::start(1);
-        hub.register("slow", slow);
+        hub.register("echo", echo_service());
         let err = hub
             .client()
-            .call::<_, u64>("slow", "work", &500u64, Duration::from_millis(20))
+            .call::<_, u64>("echo", "slow", &500u64, Duration::from_millis(20))
             .unwrap_err();
         assert!(matches!(err, RpcError::Timeout { .. }));
     }
@@ -761,7 +974,7 @@ mod tests {
             let _: String = client.call("echo", "echo", &"x".to_string(), T).unwrap();
         }
         let _ = client.call::<_, String>("echo", "fail", &"x".to_string(), T);
-        let stats = hub.stats("echo").unwrap();
+        let stats = hub.service_stats("echo").unwrap();
         assert_eq!(stats.calls, 4);
         assert_eq!(stats.errors, 1);
         assert!(stats.busy_secs >= 0.0);
@@ -962,5 +1175,188 @@ mod tests {
             .call::<_, u64>("echo", "echo", &"not a number".to_string(), T)
             .unwrap_err();
         assert!(matches!(err, RpcError::Codec(_)));
+    }
+
+    // --- pipelined connections, bounded admission, panic isolation -------
+
+    fn hub_with(workers: usize, queue_depth: usize, obs: Obs) -> Defw {
+        let hub = Defw::launch(workers, queue_depth, Arc::new(FaultPlan::disabled()), obs);
+        hub.register("echo", echo_service());
+        hub
+    }
+
+    #[test]
+    fn connection_call_round_trip() {
+        let hub = hub_with(4, QUEUE_DEPTH, Obs::disabled());
+        let conn = hub.connect("echo");
+        let out: String = conn.call("echo", &"hi".to_string(), T).unwrap();
+        assert_eq!(out, "hi");
+        assert_eq!(hub.stats().accepted, 1);
+        assert_eq!(hub.stats().completed, 1);
+    }
+
+    #[test]
+    fn pipelined_requests_multiplex_out_of_order() {
+        let hub = hub_with(4, 64, Obs::disabled());
+        let conn = hub.connect("echo");
+        // Slow request first, fast ones behind it: replies come back out
+        // of order, and wait() must still pair them correctly.
+        let slow = conn.send("slow", &60u64).unwrap();
+        let fasts: Vec<u64> = (0..3).map(|_| conn.send("slow", &1u64).unwrap()).collect();
+        for corr in &fasts {
+            let ms: u64 = serde_json::from_slice(&conn.wait(*corr, T).unwrap()).unwrap();
+            assert_eq!(ms, 1);
+        }
+        let ms: u64 = serde_json::from_slice(&conn.wait(slow, T).unwrap()).unwrap();
+        assert_eq!(ms, 60);
+    }
+
+    #[test]
+    fn overload_rejects_with_retry_hint() {
+        // One worker stuck on a slow job, a queue of one: the third send
+        // must bounce with a typed Overloaded carrying a nonzero hint.
+        let hub = hub_with(1, 1, Obs::disabled());
+        let conn = hub.connect("echo");
+        let first = conn.send("slow", &100u64).unwrap();
+        // Wait until the worker picks the first job up, then fill the queue.
+        let mut queued = None;
+        for _ in 0..200 {
+            if let Ok(corr) = conn.send("slow", &100u64) {
+                if hub.queue_len() == 1 {
+                    queued = Some(corr);
+                    break;
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued = queued.expect("filled the queue");
+        match conn.send("slow", &100u64).unwrap_err() {
+            RpcError::Overloaded { retry_after } => {
+                assert!(retry_after >= Duration::from_micros(100));
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        assert!(hub.stats().rejected >= 1);
+        // The admitted requests still complete.
+        assert!(conn.wait(first, T).is_ok());
+        assert!(conn.wait(queued, T).is_ok());
+    }
+
+    #[test]
+    fn connection_handler_errors_propagate_typed() {
+        let hub = hub_with(4, QUEUE_DEPTH, Obs::disabled());
+        let conn = hub.connect("echo");
+        let err = conn
+            .call::<_, String>("fail", &"x".to_string(), T)
+            .unwrap_err();
+        assert_eq!(err, RpcError::Handler("nope".into()));
+        let err = conn
+            .call::<_, String>("nope", &"x".to_string(), T)
+            .unwrap_err();
+        assert!(matches!(err, RpcError::MethodNotFound { .. }));
+        assert_eq!(hub.stats().errors, 2);
+    }
+
+    #[test]
+    fn connections_are_isolated() {
+        let hub = hub_with(4, QUEUE_DEPTH, Obs::disabled());
+        let a = hub.connect("echo");
+        let b = hub.connect("echo");
+        let ca = a.send("echo", &"from-a".to_string()).unwrap();
+        let cb = b.send("echo", &"from-b".to_string()).unwrap();
+        assert_ne!(ca, cb);
+        // Neither connection can claim the other's reply.
+        assert!(matches!(
+            b.wait(ca, T),
+            Err(RpcError::Timeout { attempts: 0, .. })
+        ));
+        let va: String = serde_json::from_slice(&a.wait(ca, T).unwrap()).unwrap();
+        let vb: String = serde_json::from_slice(&b.wait(cb, T).unwrap()).unwrap();
+        assert_eq!(va, "from-a");
+        assert_eq!(vb, "from-b");
+    }
+
+    #[test]
+    fn obs_counters_and_spans_record_connection_traffic() {
+        let obs = Obs::virtual_clock(5);
+        let hub = hub_with(4, QUEUE_DEPTH, obs.clone());
+        let conn = hub.connect("echo");
+        let _: String = conn.call("echo", &"x".to_string(), T).unwrap();
+        let trace = obs.chrome_trace();
+        assert!(trace.contains("\"rpc.handle\""), "{trace}");
+        assert!(trace.contains("\"correlation\""), "{trace}");
+        let snap = obs.metrics_snapshot();
+        assert!(snap.contains("\"defw.accepted\":1"), "{snap}");
+        assert!(snap.contains("\"defw.calls\":1"), "{snap}");
+    }
+
+    #[test]
+    fn timeout_leaves_later_replies_claimable() {
+        let hub = hub_with(1, 8, Obs::disabled());
+        let conn = hub.connect("echo");
+        let corr = conn.send("slow", &50u64).unwrap();
+        assert!(matches!(
+            conn.wait(corr, Duration::from_millis(1)),
+            Err(RpcError::Timeout { .. })
+        ));
+        // The reply still lands and a later wait on the same id gets it.
+        let ms: u64 = serde_json::from_slice(&conn.wait(corr, T).unwrap()).unwrap();
+        assert_eq!(ms, 50);
+    }
+
+    #[test]
+    fn handler_panic_costs_one_request_not_the_worker() {
+        let obs = Obs::wall();
+        let hub = Defw::start_full(1, Arc::new(FaultPlan::disabled()), obs.clone());
+        hub.register(
+            "svc",
+            MethodTable::new("svc")
+                .method("boom", |_: String| -> Result<String, String> {
+                    panic!("handler bug")
+                })
+                .method("echo", |v: String| Ok(v))
+                .build(),
+        );
+        let client = hub.client();
+        for _ in 0..4 {
+            let err = client
+                .call::<_, String>("svc", "boom", &"x".to_string(), T)
+                .unwrap_err();
+            assert!(
+                matches!(&err, RpcError::Internal(msg) if msg.contains("handler bug")),
+                "{err:?}"
+            );
+        }
+        // The hub's only worker survived all four panics.
+        let out: String = client.call("svc", "echo", &"alive".to_string(), T).unwrap();
+        assert_eq!(out, "alive");
+        assert_eq!(obs.counter("defw.handler_panics").get(), 4);
+        assert_eq!(hub.service_stats("svc").unwrap().errors, 4);
+    }
+
+    #[test]
+    fn call_with_retry_rides_out_overload() {
+        // Fill a one-deep queue behind a busy worker, then retry into it:
+        // Overloaded is transient, so the call lands once the queue drains.
+        let hub = hub_with(1, 1, Obs::disabled());
+        let conn = hub.connect("echo");
+        let busy = conn.send("slow", &30u64).unwrap();
+        while hub.queue_len() > 0 {
+            std::thread::yield_now();
+        }
+        let queued = conn.send("slow", &30u64).unwrap();
+        let policy = RetryPolicy::new(
+            Duration::from_millis(5),
+            Duration::from_millis(20),
+            20,
+            Duration::from_secs(2),
+        );
+        let out: String = hub
+            .client()
+            .call_with_retry("echo", "echo", &"late".to_string(), T, &policy)
+            .unwrap();
+        assert_eq!(out, "late");
+        assert!(hub.stats().rejected >= 1, "{:?}", hub.stats());
+        assert!(conn.wait(busy, T).is_ok() && conn.wait(queued, T).is_ok());
     }
 }

@@ -3,10 +3,14 @@
 //!
 //! This wires three layers together:
 //!
-//! 1. [`qfw_defw::Ingress`] — pipelined framed transport with bounded-queue
-//!    admission (queue-full rejections surface as
-//!    [`qfw_defw::IngressError::Overloaded`] before any scheduler state is
-//!    touched).
+//! 1. A [`qfw_defw::Defw`] hub of its own, serving one `sched-ingress`
+//!    service — the same transport every other QFw RPC rides: a bounded
+//!    queue (queue-full rejections surface as
+//!    [`qfw_defw::RpcError::Overloaded`] before any scheduler state is
+//!    touched), pipelined [`Connection`]s, the fault plan's
+//!    `defw.{delay,poison,drop_reply}.sched-ingress` sites, and panic
+//!    isolation: a request whose handling panics gets
+//!    [`qfw_defw::RpcError::Internal`] and costs no worker.
 //! 2. [`qfw::ResultCache`] — tier-1 result reuse: a submit whose
 //!    (canonical circuit, seed, shots, spec) key matches a completed job
 //!    returns [`IngressSubmitOutcome::Cached`] immediately — bitwise the
@@ -35,12 +39,19 @@ use crate::{JobEnvelope, JobId, JobStatus, OverloadInfo, SchedError, Scheduler};
 use parking_lot::Mutex;
 use qfw::cache::CacheConfig;
 use qfw::{QfwResult, ResultCache};
-use qfw_defw::{Connection, Ingress, IngressConfig, IngressError, MethodTable};
+use qfw_defw::{Connection, Defw, FaultPlan, MethodTable, RpcError, Service};
 use qfw_obs::Obs;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The service name the ingress registers on its hub; chaos sites for the
+/// front door are `defw.{delay,poison,drop_reply}.sched-ingress`.
+const SERVICE: &str = "sched-ingress";
+
+/// Dispatcher threads on the ingress hub.
+const WORKERS: usize = 4;
 
 /// `submit` outcome over the ingress: one more possibility than the plain
 /// RPC [`crate::SubmitOutcome`] — the result may already be known.
@@ -56,10 +67,10 @@ pub enum IngressSubmitOutcome {
 }
 
 /// Configuration for [`SchedIngress::start`].
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct SchedIngressConfig {
-    /// Transport knobs (queue depth, worker count).
-    pub ingress: IngressConfig,
+    /// Fault plan for the ingress hub (disabled by default).
+    pub chaos: Arc<FaultPlan>,
     /// Result-cache knobs (capacity, shards).
     pub result_cache: CacheConfig,
 }
@@ -74,15 +85,18 @@ struct Shared {
     obs: Obs,
 }
 
-/// A running scheduler ingress. Owns the transport; connections come from
+/// A running scheduler ingress. Owns its hub; connections come from
 /// [`SchedIngress::connect`].
 pub struct SchedIngress {
-    ingress: Ingress,
+    hub: Defw,
     shared: Arc<Shared>,
 }
 
 impl SchedIngress {
-    /// Starts the ingress service over a running scheduler.
+    /// Starts the ingress service over a running scheduler. With `obs`
+    /// enabled, every request records one `ingress.handle_us` observation
+    /// (the service's own handling time) next to the hub's `rpc.handle`
+    /// span.
     pub fn start(sched: Scheduler, cfg: SchedIngressConfig, obs: Obs) -> SchedIngress {
         let shared = Arc::new(Shared {
             sched,
@@ -94,27 +108,36 @@ impl SchedIngress {
         let poll = Arc::clone(&shared);
         let cancel = Arc::clone(&shared);
         let stats = Arc::clone(&shared);
-        let service = MethodTable::new("sched-ingress")
+        let table = MethodTable::new(SERVICE)
             .method("submit", move |env: JobEnvelope| submit.submit(env))
             .method("poll", move |id: u64| Ok(poll.poll(id)))
             .method("cancel", move |id: u64| {
                 cancel.pending.lock().remove(&id);
                 Ok(cancel.sched.cancel(id))
             })
-            .method("stats", move |_: ()| Ok(stats.sched.stats()))
-            .build();
-        let ingress = Ingress::start(cfg.ingress, service, obs);
-        SchedIngress { ingress, shared }
+            .method("stats", move |_: ()| Ok(stats.sched.stats()));
+        let hub = Defw::start_full(WORKERS, cfg.chaos, obs.clone());
+        let handle_us = obs.histogram("ingress.handle_us");
+        let timed = move |method: &str, payload: &[u8]| {
+            let started = Instant::now();
+            let reply = table.handle(method, payload);
+            if obs.is_enabled() {
+                handle_us.observe_us(started.elapsed().as_micros() as u64);
+            }
+            reply
+        };
+        hub.register(SERVICE, Arc::new(timed));
+        SchedIngress { hub, shared }
     }
 
     /// Opens a logical client connection.
     pub fn connect(&self) -> Connection {
-        self.ingress.connect()
+        self.hub.connect(SERVICE)
     }
 
-    /// The underlying transport (queue depth, stats).
-    pub fn ingress(&self) -> &Ingress {
-        &self.ingress
+    /// The underlying hub (queue, admission stats, fault plan).
+    pub fn ingress(&self) -> &Defw {
+        &self.hub
     }
 
     /// Result-cache statistics.
@@ -131,7 +154,7 @@ impl SchedIngress {
     /// Stops the transport. The scheduler keeps running — it may serve
     /// other ingresses or direct submitters.
     pub fn shutdown(self) {
-        self.ingress.shutdown()
+        self.hub.shutdown()
     }
 }
 
@@ -217,7 +240,7 @@ impl Shared {
     }
 }
 
-/// Typed client helpers over a raw ingress [`Connection`].
+/// Typed client helpers over an ingress [`Connection`].
 ///
 /// These are free functions (not a wrapper type) so callers can mix typed
 /// calls with raw pipelined sends on the same connection.
@@ -230,10 +253,10 @@ pub mod client {
         conn: &Connection,
         env: &JobEnvelope,
         timeout: Duration,
-    ) -> Result<IngressSubmitOutcome, IngressError> {
+    ) -> Result<IngressSubmitOutcome, RpcError> {
         match conn.call("submit", env, timeout) {
             Ok(outcome) => Ok(outcome),
-            Err(IngressError::Overloaded { retry_after }) => {
+            Err(RpcError::Overloaded { retry_after }) => {
                 Ok(IngressSubmitOutcome::Overloaded(OverloadInfo {
                     retry_after_ms: retry_after.as_millis().max(1) as u64,
                     scope: "Ingress".into(),
@@ -244,20 +267,12 @@ pub mod client {
     }
 
     /// Polls a job's status.
-    pub fn poll(
-        conn: &Connection,
-        id: JobId,
-        timeout: Duration,
-    ) -> Result<JobStatus, IngressError> {
+    pub fn poll(conn: &Connection, id: JobId, timeout: Duration) -> Result<JobStatus, RpcError> {
         conn.call("poll", &id, timeout)
     }
 
     /// Polls until the job is terminal or `deadline` elapses.
-    pub fn wait(
-        conn: &Connection,
-        id: JobId,
-        deadline: Duration,
-    ) -> Result<JobStatus, IngressError> {
+    pub fn wait(conn: &Connection, id: JobId, deadline: Duration) -> Result<JobStatus, RpcError> {
         let start = std::time::Instant::now();
         loop {
             let status = poll(conn, id, deadline)?;
@@ -313,89 +328,6 @@ mod tests {
             Obs::disabled(),
         );
         (ingress, sched)
-    }
-
-    #[test]
-    fn submit_poll_round_trip_through_ingress() {
-        let (ingress, sched) = start_ingress(2);
-        let conn = ingress.connect();
-        let env = JobEnvelope::new("alice", &ghz(4), 200).with_seed(3);
-        let id = match client::submit(&conn, &env, T).unwrap() {
-            IngressSubmitOutcome::Accepted(id) => id,
-            other => panic!("expected acceptance, got {other:?}"),
-        };
-        match client::wait(&conn, id, T).unwrap() {
-            JobStatus::Done(r) => assert_eq!(r.counts.values().sum::<usize>(), 200),
-            other => panic!("unexpected status {other:?}"),
-        }
-        ingress.shutdown();
-        sched.shutdown();
-    }
-
-    #[test]
-    fn second_identical_submit_is_served_from_cache_bitwise() {
-        let (ingress, sched) = start_ingress(2);
-        let conn = ingress.connect();
-        let env = JobEnvelope::new("alice", &ghz(5), 300).with_seed(42);
-        let id = match client::submit(&conn, &env, T).unwrap() {
-            IngressSubmitOutcome::Accepted(id) => id,
-            other => panic!("expected acceptance, got {other:?}"),
-        };
-        let cold = match client::wait(&conn, id, T).unwrap() {
-            JobStatus::Done(r) => r,
-            other => panic!("unexpected status {other:?}"),
-        };
-        // Resubmit the identical envelope: no scheduler admission, just
-        // the cached counts.
-        let warm = match client::submit(&conn, &env, T).unwrap() {
-            IngressSubmitOutcome::Cached(r) => r,
-            other => panic!("expected cached result, got {other:?}"),
-        };
-        assert_eq!(warm.counts, cold.counts, "cache hit must be bitwise identical");
-        assert_eq!(warm.metadata["result_cached"], "true");
-        assert!(!cold.metadata.contains_key("result_cached"));
-        assert_eq!(ingress.cache_stats().hits, 1);
-        // A different seed is a different computation: back to admission.
-        let other = env.clone().with_seed(43);
-        assert!(matches!(
-            client::submit(&conn, &other, T).unwrap(),
-            IngressSubmitOutcome::Accepted(_)
-        ));
-        ingress.shutdown();
-        sched.shutdown();
-    }
-
-    #[test]
-    fn scheduler_overload_propagates_typed_through_ingress() {
-        let sched = Scheduler::start(
-            qrc(1),
-            Obs::disabled(),
-            SchedConfig {
-                max_queue_depth: 1,
-                start_paused: true,
-                ..SchedConfig::default()
-            },
-        );
-        let ingress = SchedIngress::start(
-            sched.clone(),
-            SchedIngressConfig::default(),
-            Obs::disabled(),
-        );
-        let conn = ingress.connect();
-        let env = JobEnvelope::new("t", &ghz(3), 10);
-        assert!(matches!(
-            client::submit(&conn, &env, T).unwrap(),
-            IngressSubmitOutcome::Accepted(_)
-        ));
-        match client::submit(&conn, &env.clone().with_seed(1), T).unwrap() {
-            IngressSubmitOutcome::Overloaded(info) => {
-                assert!(info.retry_after_ms >= 1);
-                assert_eq!(info.scope, "Queue");
-            }
-            other => panic!("expected overload, got {other:?}"),
-        }
-        ingress.shutdown();
-        sched.shutdown();
     }
 
     #[test]

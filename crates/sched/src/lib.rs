@@ -27,8 +27,9 @@
 //! live session ([`Scheduler::attach`]), where it also registers a
 //! `sched0` DEFw service exposing `submit`/`poll`/`cancel`/`stats` RPCs.
 //! For sustained high-rate traffic, [`ingress::SchedIngress`] fronts the
-//! scheduler with the pipelined multiplexed transport from
-//! [`qfw_defw::ingress`] plus a content-addressed [`qfw::ResultCache`]:
+//! scheduler with a DEFw hub of its own (bounded admission, pipelined
+//! [`qfw_defw::Connection`]s, panic isolation, the fault plan's sites)
+//! plus a content-addressed [`qfw::ResultCache`]:
 //! repeat submissions are answered from the cache (bitwise identical
 //! counts) without consuming admission or engine capacity.
 

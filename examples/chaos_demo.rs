@@ -46,7 +46,7 @@ fn scenario(seed: u64) -> Vec<String> {
     t.push(format!(
         "defw: echo -> {out:?} (replies dropped: {}, dispatches: {})",
         plan.fired("defw.drop_reply.qpm"),
-        hub.stats("qpm").unwrap().calls,
+        hub.service_stats("qpm").unwrap().calls,
     ));
 
     // --- 2. QRC: two worker slots die at dispatch; the task requeues

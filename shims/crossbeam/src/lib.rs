@@ -12,6 +12,10 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Threads parked in a receive / a blocking send: a notification
+        /// is only worth its wake-up syscall when one is waiting.
+        recv_waiters: usize,
+        send_waiters: usize,
     }
 
     struct Chan<T> {
@@ -112,6 +116,8 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                recv_waiters: 0,
+                send_waiters: 0,
             }),
             recv_ready: Condvar::new(),
             send_ready: Condvar::new(),
@@ -131,7 +137,7 @@ pub mod channel {
         fn drop(&mut self) {
             let mut state = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
             state.senders -= 1;
-            if state.senders == 0 {
+            if state.senders == 0 && state.recv_waiters > 0 {
                 drop(state);
                 self.0.recv_ready.notify_all();
             }
@@ -149,7 +155,7 @@ pub mod channel {
         fn drop(&mut self) {
             let mut state = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
             state.receivers -= 1;
-            if state.receivers == 0 {
+            if state.receivers == 0 && state.send_waiters > 0 {
                 drop(state);
                 self.0.send_ready.notify_all();
             }
@@ -167,18 +173,23 @@ pub mod channel {
                 }
                 match self.0.capacity {
                     Some(cap) if state.queue.len() >= cap => {
+                        state.send_waiters += 1;
                         state = self
                             .0
                             .send_ready
                             .wait(state)
                             .unwrap_or_else(|e| e.into_inner());
+                        state.send_waiters -= 1;
                     }
                     _ => break,
                 }
             }
             state.queue.push_back(value);
+            let wake = state.recv_waiters > 0;
             drop(state);
-            self.0.recv_ready.notify_one();
+            if wake {
+                self.0.recv_ready.notify_one();
+            }
             Ok(())
         }
 
@@ -196,8 +207,11 @@ pub mod channel {
                 }
             }
             state.queue.push_back(value);
+            let wake = state.recv_waiters > 0;
             drop(state);
-            self.0.recv_ready.notify_one();
+            if wake {
+                self.0.recv_ready.notify_one();
+            }
             Ok(())
         }
 
@@ -223,18 +237,23 @@ pub mod channel {
             let mut state = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(value) = state.queue.pop_front() {
+                    let wake = state.send_waiters > 0;
                     drop(state);
-                    self.0.send_ready.notify_one();
+                    if wake {
+                        self.0.send_ready.notify_one();
+                    }
                     return Ok(value);
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.recv_waiters += 1;
                 state = self
                     .0
                     .recv_ready
                     .wait(state)
                     .unwrap_or_else(|e| e.into_inner());
+                state.recv_waiters -= 1;
             }
         }
 
@@ -245,8 +264,11 @@ pub mod channel {
             let mut state = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(value) = state.queue.pop_front() {
+                    let wake = state.send_waiters > 0;
                     drop(state);
-                    self.0.send_ready.notify_one();
+                    if wake {
+                        self.0.send_ready.notify_one();
+                    }
                     return Ok(value);
                 }
                 if state.senders == 0 {
@@ -256,12 +278,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                state.recv_waiters += 1;
                 let (next, _) = self
                     .0
                     .recv_ready
                     .wait_timeout(state, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 state = next;
+                state.recv_waiters -= 1;
             }
         }
 
@@ -269,8 +293,11 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(value) = state.queue.pop_front() {
+                let wake = state.send_waiters > 0;
                 drop(state);
-                self.0.send_ready.notify_one();
+                if wake {
+                    self.0.send_ready.notify_one();
+                }
                 return Ok(value);
             }
             if state.senders == 0 {
@@ -350,6 +377,34 @@ mod tests {
         let err = tx.try_send(4).unwrap_err();
         assert!(!err.is_full());
         assert_eq!(err.into_inner(), 4);
+    }
+
+    #[test]
+    fn parked_sender_wakes_on_recv_and_on_disconnect() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let tx2 = tx.clone();
+        let blocked = std::thread::spawn(move || tx2.send(2));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(blocked.join().unwrap(), Ok(()));
+        // Full again; the parked send fails once the receiver is gone.
+        let blocked = std::thread::spawn(move || tx.send(3));
+        std::thread::sleep(Duration::from_millis(20));
+        drop(rx);
+        assert_eq!(blocked.join().unwrap(), Err(SendError(3)));
+    }
+
+    #[test]
+    fn parked_receiver_wakes_on_disconnect() {
+        let (tx, rx) = unbounded::<u8>();
+        let rx2 = rx.clone();
+        let timed = std::thread::spawn(move || rx2.recv_timeout(Duration::from_secs(30)));
+        let blocked = std::thread::spawn(move || rx.recv());
+        std::thread::sleep(Duration::from_millis(20));
+        drop(tx);
+        assert_eq!(timed.join().unwrap(), Err(RecvTimeoutError::Disconnected));
+        assert_eq!(blocked.join().unwrap(), Err(RecvError));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Chaos suite: deterministic fault injection across the three layers the
 //! paper's stack spans — DEFw RPC, QRC worker slots, and the cloud
-//! provider — proving the retry/backoff/failover machinery end to end.
+//! provider — proving the retry/backoff/failover machinery end to end,
+//! plus the scheduler's front door (`SchedIngress`, a DEFw hub) under
+//! poisoned requests, dropped replies and malformed payloads.
 //!
 //! Every scenario is driven by a seeded [`FaultPlan`], so each test (and
 //! the run-twice determinism check at the bottom) replays byte-for-byte.
@@ -10,9 +12,16 @@ use qfw::{BackendRegistry, BackendSpec, ExecTask, QfwError};
 use qfw_chaos::{FaultPlan, FaultSpec, RetryPolicy};
 use qfw_circuit::{text, Circuit};
 use qfw_cloud::{CloudConfig, CloudProvider};
-use qfw_defw::{Defw, MethodTable, RpcError};
+use qfw_defw::{Connection, Defw, MethodTable, RpcError};
 use qfw_hpc::slurm::{HetJob, HetJobSpec};
 use qfw_hpc::{ClusterSpec, Dvm};
+use qfw_num::rng::Rng;
+use qfw_obs::Obs;
+use qfw_sched::{
+    IngressSubmitOutcome, JobEnvelope, JobStatus, SchedConfig, SchedIngress, SchedIngressConfig,
+    Scheduler,
+};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,7 +61,7 @@ fn dropped_reply_is_healed_by_retry() {
     assert_eq!(out, "payload");
     assert_eq!(plan.fired("defw.drop_reply.qpm"), 1);
     // Exactly one extra dispatch reached the service.
-    assert_eq!(hub.stats("qpm").unwrap().calls, 2);
+    assert_eq!(hub.service_stats("qpm").unwrap().calls, 2);
 }
 
 /// When every reply is dropped, retries exhaust and the error carries the
@@ -231,6 +240,181 @@ fn dead_pool_errors_then_revives() {
 }
 
 // ---------------------------------------------------------------------------
+// The front door under chaos.
+// ---------------------------------------------------------------------------
+
+fn valid_envelope(seed: u64) -> JobEnvelope {
+    let mut qc = Circuit::new(4);
+    qc.h(0)
+        .rx(1, 0.3 * seed as f64)
+        .cx(0, 2)
+        .cx(1, 3)
+        .measure_all();
+    JobEnvelope::new("burst", &qc, 64)
+        .with_spec(BackendSpec::of("nwqsim", "cpu"))
+        .with_seed(seed)
+}
+
+/// One burst request: the valid job's seed (`None` for a malformed
+/// payload), a transcript label, and the submit payload.
+type Request = (Option<u64>, String, Vec<u8>);
+
+/// Eight valid jobs and five malformed payloads, in a seeded order.
+fn burst(seed: u64) -> Vec<Request> {
+    let mut requests: Vec<Request> = (0..8)
+        .map(|s| {
+            let payload = serde_json::to_vec(&valid_envelope(s)).unwrap();
+            (Some(s), format!("valid seed {s}"), payload)
+        })
+        .collect();
+    requests.push((
+        None,
+        "malformed (not json)".into(),
+        b"{\"tenant\": 7".to_vec(),
+    ));
+    for circuit in [
+        "qfwasm 1\nqubits 3\ncx q0 q7\n",
+        "qfwasm 1\nqubits 3\ncx q1 q1\n",
+        "qfwasm 1\nqubits 1\nclbits 1\nmeasure q0 -> c5\n",
+        "OPENQASM 3;\nqubit[2] q;\ncx q[0], q[9];\n",
+    ] {
+        let mut env = valid_envelope(0);
+        env.circuit = circuit.to_string();
+        let label = format!("malformed ({})", circuit.lines().last().unwrap());
+        requests.push((None, label, serde_json::to_vec(&env).unwrap()));
+    }
+    Rng::seed_from(seed).shuffle(&mut requests);
+    requests
+}
+
+/// One request through the front door, retried on injected faults: a
+/// poisoned request never reached the handler, and a dropped reply
+/// surfaces as a timeout. Any other outcome is final.
+fn retried(
+    conn: &Connection,
+    method: &str,
+    payload: Vec<u8>,
+    log: &mut Vec<String>,
+) -> Result<Vec<u8>, RpcError> {
+    let payload = Arc::new(payload);
+    for attempt in 1..=4 {
+        let corr = conn.send_raw(method, Arc::clone(&payload))?;
+        match conn.wait(corr, Duration::from_secs(1)) {
+            Err(RpcError::Codec(msg)) if msg.contains("injected") => {
+                log.push(format!("  {method}: poisoned on attempt {attempt}"));
+            }
+            Err(RpcError::Timeout { .. }) => {
+                log.push(format!("  {method}: reply dropped on attempt {attempt}"));
+            }
+            reply => return reply,
+        }
+    }
+    panic!("{method} never got through the injected faults");
+}
+
+/// The valid jobs' counts, by seed.
+type CountsBySeed = BTreeMap<u64, BTreeMap<String, usize>>;
+
+/// Sends `requests` one at a time through a fresh front door, drains the
+/// scheduler, and polls every accepted job once. Returns the transcript,
+/// the valid jobs' counts by seed, and the hub's (accepted, completed).
+fn run_burst(
+    chaos: Arc<FaultPlan>,
+    requests: &[Request],
+) -> (Vec<String>, CountsBySeed, (u64, u64)) {
+    let qrc = Arc::new(qrc_with(Arc::new(FaultPlan::disabled()), None, 2));
+    let sched = Scheduler::start(qrc, Obs::disabled(), SchedConfig::default());
+    let config = SchedIngressConfig {
+        chaos,
+        ..SchedIngressConfig::default()
+    };
+    let ingress = SchedIngress::start(sched.clone(), config, Obs::disabled());
+    let conn = ingress.connect();
+    let mut log = Vec::new();
+    let mut accepted = Vec::new();
+    for (valid, label, payload) in requests {
+        log.push(label.clone());
+        let reply = retried(&conn, "submit", payload.clone(), &mut log);
+        match reply.map(|bytes| serde_json::from_slice::<IngressSubmitOutcome>(&bytes).unwrap()) {
+            Ok(IngressSubmitOutcome::Accepted(id)) => {
+                log.push(format!("  accepted as job {id}"));
+                accepted.push((*valid, id));
+            }
+            Err(RpcError::Handler(_) | RpcError::Codec(_)) if valid.is_none() => {
+                log.push("  refused with a typed error".to_string());
+            }
+            other => panic!("{label}: unexpected {other:?}"),
+        }
+    }
+    assert!(sched.drain(Duration::from_secs(60)), "the burst drains");
+    let mut counts = BTreeMap::new();
+    for (valid, id) in accepted {
+        let reply = retried(&conn, "poll", serde_json::to_vec(&id).unwrap(), &mut log);
+        match (
+            valid,
+            serde_json::from_slice::<JobStatus>(&reply.unwrap()).unwrap(),
+        ) {
+            (Some(seed), JobStatus::Done(r)) => {
+                log.push(format!("job {id}: done, counts {:?}", r.counts));
+                counts.insert(seed, r.counts);
+            }
+            (None, JobStatus::Failed(_)) => log.push(format!("job {id}: failed")),
+            (_, status) => panic!("job {id} ended as {status:?}"),
+        }
+    }
+    let stats = ingress.ingress().stats();
+    ingress.shutdown();
+    sched.shutdown();
+    (log, counts, (stats.accepted, stats.completed))
+}
+
+/// A seeded burst mixing malformed payloads, poisoned requests and a
+/// dropped reply into valid submits: every valid job completes with the
+/// counts of a fault-free run, bit for bit; every request the hub
+/// admitted was handled (no worker died with one in hand); and the
+/// transcript — printed, so CI's run-twice diff covers it — replays.
+#[test]
+fn front_door_burst_survives_faults_and_malformed_payloads() {
+    let faulty_plan = || {
+        Arc::new(
+            FaultPlan::seeded(106)
+                .inject(
+                    "defw.poison.sched-ingress",
+                    FaultSpec::with_probability(0.25).times(5),
+                )
+                .inject(
+                    "defw.drop_reply.sched-ingress",
+                    FaultSpec::first(1).after(6),
+                ),
+        )
+    };
+    let requests = burst(106);
+    let plan = faulty_plan();
+    let (log, counts, (accepted, completed)) = run_burst(Arc::clone(&plan), &requests);
+    assert!(plan.fired("defw.poison.sched-ingress") >= 1, "{log:#?}");
+    assert_eq!(plan.fired("defw.drop_reply.sched-ingress"), 1, "{log:#?}");
+    assert_eq!(accepted, completed, "an admitted request was never handled");
+
+    let valid: Vec<Request> = requests.iter().filter(|r| r.0.is_some()).cloned().collect();
+    let (_, clean, _) = run_burst(Arc::new(FaultPlan::disabled()), &valid);
+    assert_eq!(counts.len(), 8, "{log:#?}");
+    assert_eq!(counts, clean, "faults changed a valid job's counts");
+
+    let (replay, _, _) = run_burst(faulty_plan(), &requests);
+    assert_eq!(
+        log, replay,
+        "same seed must replay the same front-door transcript"
+    );
+    let mut transcript = log;
+    transcript.extend(
+        plan.injection_log()
+            .iter()
+            .map(|rec| format!("front-door fault {} at hit {}", rec.site, rec.hit)),
+    );
+    println!("{}", transcript.join("\n"));
+}
+
+// ---------------------------------------------------------------------------
 // RetryPolicy property coverage.
 // ---------------------------------------------------------------------------
 
@@ -303,7 +487,7 @@ proptest! {
                         .unwrap()
                 })
                 .collect();
-            let stats = hub.stats("qpm").unwrap();
+            let stats = hub.service_stats("qpm").unwrap();
             (outputs, stats.calls, stats.errors)
         };
         let chaotic = run(Arc::new(FaultPlan::seeded(seed)));

@@ -13,9 +13,12 @@
 //! * Cancel through the ingress releases the cache reservation — a
 //!   cancelled job's envelope re-submits as a fresh execution, never as a
 //!   stale hit.
+//! * A malformed circuit costs its own request, never an ingress worker:
+//!   every submit gets a typed outcome and the next valid one is served.
 
 use qfw::registry::BackendRegistry;
 use qfw::{BackendSpec, DispatchPolicy, Qrc};
+use qfw_defw::RpcError;
 use qfw_hpc::slurm::{HetJob, HetJobSpec};
 use qfw_hpc::{ClusterSpec, Dvm};
 use qfw_obs::Obs;
@@ -150,6 +153,7 @@ fn repeat_submission_hits_cache_bitwise() {
     };
     assert_eq!(warm.counts, cold.counts, "cache hit must be bitwise identical");
     assert_eq!(warm.metadata.get("result_cached").map(String::as_str), Some("true"));
+    assert!(!cold.metadata.contains_key("result_cached"));
     assert!(ingress.cache_stats().hits >= 1);
 
     // Any key ingredient changing — here the seed — is a miss.
@@ -222,5 +226,44 @@ fn cancel_releases_cache_reservation() {
         }
         other => panic!("cancelled envelope must re-execute, got {other:?}"),
     }
+    sched.shutdown();
+}
+
+/// Four submits of `cx q0 q7` on a 3-qubit circuit — as many as the
+/// ingress has workers — each get a typed outcome (a refusal, or
+/// acceptance followed by `Failed`) well inside the deadline, and the next
+/// valid submit is served. A parser that panicked inside the handler
+/// used to take one worker per submit: four timeouts, then `Shutdown`.
+#[test]
+fn malformed_circuits_cost_one_request_not_a_worker() {
+    let (sched, ingress) = ingress_with(SchedConfig::default());
+    let conn = ingress.connect();
+    let deadline = Duration::from_secs(2);
+    for seed in 0..4 {
+        let mut bad = env("bad", seed);
+        bad.circuit = "qfwasm 1\nqubits 3\ncx q0 q7\nmeasure q0 -> c0\n".into();
+        match client::submit(&conn, &bad, deadline) {
+            Ok(IngressSubmitOutcome::Accepted(id)) => match client::wait(&conn, id, T).unwrap() {
+                JobStatus::Failed(msg) => assert!(msg.contains("qubit 7"), "{msg}"),
+                other => panic!("malformed job {id} should fail, got {other:?}"),
+            },
+            Ok(other) => panic!("malformed submit {seed}: unexpected {other:?}"),
+            Err(e @ (RpcError::Timeout { .. } | RpcError::Shutdown)) => {
+                panic!("malformed submit {seed} lost its worker: {e:?}")
+            }
+            Err(_) => {}
+        }
+    }
+    match client::submit(&conn, &env("good", 1), deadline).unwrap() {
+        IngressSubmitOutcome::Accepted(id) => {
+            assert!(matches!(
+                client::wait(&conn, id, T).unwrap(),
+                JobStatus::Done(_)
+            ));
+        }
+        other => panic!("the valid submit after the probes must be served, got {other:?}"),
+    }
+    let stats = ingress.ingress().stats();
+    assert_eq!(stats.accepted, stats.completed, "{stats:?}");
     sched.shutdown();
 }

@@ -471,3 +471,33 @@ fn elastic_scaling_grows_and_shrinks() {
     assert!(sched.stats().scale_downs >= 1);
     sched.shutdown();
 }
+
+/// An engine that panics costs its own job, not a QRC slot: two jobs too
+/// wide for the dense state vector (the engine refuses to allocate past
+/// 2^30 amplitudes with a panic) end `Failed`, and a GHZ job submitted
+/// after them still runs on the same two slots.
+#[test]
+fn engine_panic_fails_the_job_and_frees_the_slot() {
+    let (qrc, _hetjob) = qrc_with(2, None);
+    let sched = Scheduler::start(qrc, Obs::disabled(), SchedConfig::default());
+    let wide: Vec<u64> = (0..2)
+        .map(|seed| {
+            let env = JobEnvelope::new("wide", &ghz(31), 10)
+                .with_spec(BackendSpec::of("nwqsim", "cpu"))
+                .with_seed(seed);
+            sched.submit(env).unwrap()
+        })
+        .collect();
+    for id in wide {
+        match sched.wait(id, T) {
+            JobStatus::Failed(msg) => assert!(msg.contains("panicked"), "{msg}"),
+            other => panic!("31-qubit job {id} should fail, got {other:?}"),
+        }
+    }
+    let id = sched.submit(nwqsim_env("after", 7)).unwrap();
+    match sched.wait(id, T) {
+        JobStatus::Done(r) => assert_eq!(r.counts.values().sum::<usize>(), 100),
+        other => panic!("the GHZ job after the panics should finish, got {other:?}"),
+    }
+    sched.shutdown();
+}
