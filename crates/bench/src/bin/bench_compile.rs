@@ -22,6 +22,7 @@
 //!               [--min-qaoa-reduction X]
 //! ```
 
+use qfw_bench::util::{arg_after, median};
 use qfw_compile::{compile_dag, emit, lower_to_stdgates, parse, DagCircuit, OptLevel};
 use qfw_obs::Obs;
 use qfw_sim_sv::SvSimulator;
@@ -81,16 +82,6 @@ struct CompileReport {
     speedups: Vec<SpeedupEntry>,
 }
 
-fn median_us(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
-
 /// A workload prepared for the bench: its QASM3 source and the binding
 /// that makes it concrete (empty for parameter-free programs).
 struct Workload {
@@ -130,15 +121,9 @@ fn workloads() -> Vec<Workload> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| "BENCH_compile.json".to_string());
-    let baseline_path = arg_after("--baseline");
-    let min_qaoa_reduction: f64 = arg_after("--min-qaoa-reduction")
+    let out_path = arg_after(&args, "--out").unwrap_or_else(|| "BENCH_compile.json".to_string());
+    let baseline_path = arg_after(&args, "--baseline");
+    let min_qaoa_reduction: f64 = arg_after(&args, "--min-qaoa-reduction")
         .map(|s| s.parse().expect("--min-qaoa-reduction takes a number"))
         .unwrap_or(0.20);
 
@@ -160,7 +145,7 @@ fn main() {
             parsed = Some(p);
         }
         let parsed = parsed.expect("at least one parse iteration");
-        let parse_us = median_us(parse_times);
+        let parse_us = median(&mut parse_times);
 
         // Uncompiled reference counts at a fixed seed.
         let reference = parsed.dag.bind(&w.binding);
@@ -196,7 +181,7 @@ fn main() {
                 reduction,
                 eliminated: result.stats.eliminated,
                 rewritten: result.stats.rewritten,
-                compile_us: median_us(compile_times),
+                compile_us: median(&mut compile_times),
                 parse_us,
                 source_bytes: w.source.len(),
             });

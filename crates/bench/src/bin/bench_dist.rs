@@ -17,6 +17,7 @@
 //! Full mode runs TFIM-24 / QAOA-14 — the acceptance pair for the ≥2×
 //! exchange and byte reductions recorded under `reductions`.
 
+use qfw_bench::util::arg_after;
 use qfw_circuit::{Circuit, Op};
 use qfw_hpc::{Communicator, RankCtx};
 use qfw_obs::Obs;
@@ -126,13 +127,7 @@ fn workloads(smoke: bool) -> Vec<(String, Circuit)> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--short");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| "BENCH_dist.json".to_string());
+    let out_path = arg_after(&args, "--out").unwrap_or_else(|| "BENCH_dist.json".to_string());
     let shots = if smoke { 1024 } else { 4096 };
 
     let mut entries = Vec::new();

@@ -25,6 +25,7 @@
 
 use qfw::registry::BackendRegistry;
 use qfw::{BackendSpec, DispatchPolicy, Qrc};
+use qfw_bench::util::{arg_after, median, percentile};
 use qfw_circuit::Circuit;
 use qfw_hpc::slurm::{HetJob, HetJobSpec};
 use qfw_hpc::{ClusterSpec, Dvm};
@@ -81,24 +82,6 @@ fn layered(n: usize, depth: usize) -> Circuit {
     }
     qc.measure_all();
     qc
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
-
-fn percentile_us(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// One hot-ratio sweep point.
@@ -162,18 +145,12 @@ struct IngressReport {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| "BENCH_ingress.json".to_string());
-    let baseline_path = arg_after("--baseline");
-    let min_throughput: f64 = arg_after("--min-throughput")
+    let out_path = arg_after(&args, "--out").unwrap_or_else(|| "BENCH_ingress.json".to_string());
+    let baseline_path = arg_after(&args, "--baseline");
+    let min_throughput: f64 = arg_after(&args, "--min-throughput")
         .map(|s| s.parse().expect("--min-throughput takes a number"))
         .unwrap_or(if smoke { 2_000.0 } else { 10_000.0 });
-    let min_warm_speedup: f64 = arg_after("--min-warm-speedup")
+    let min_warm_speedup: f64 = arg_after(&args, "--min-warm-speedup")
         .map(|s| s.parse().expect("--min-warm-speedup takes a number"))
         .unwrap_or(20.0);
 
@@ -346,8 +323,8 @@ fn main() {
             jobs,
             elapsed_secs,
             jobs_per_sec: jobs as f64 / elapsed_secs,
-            p50_us: percentile_us(&lat_us, 0.50),
-            p99_us: percentile_us(&lat_us, 0.99),
+            p50_us: percentile(&lat_us, 0.50),
+            p99_us: percentile(&lat_us, 0.99),
             cached: cached.load(Ordering::Relaxed) as u64,
             accepted: accepted.load(Ordering::Relaxed) as u64,
             overloaded: overloaded.load(Ordering::Relaxed) as u64,

@@ -19,6 +19,7 @@
 //! * `--min-speedup` — required 8-worker-vs-serial bar (default 3.0
 //!   full, none in smoke). The process exits nonzero under the bar.
 
+use qfw_bench::util::{arg_after, median};
 use qfw_noise::{Calibration, NoiseModel};
 use qfw_obs::Obs;
 use qfw_sim_sv::run_trajectories;
@@ -27,17 +28,6 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 const SEED: u64 = 2025;
-
-/// Median of a sample (sorts in place).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
 
 /// One worker-count measurement.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -91,15 +81,9 @@ struct NoiseReport {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| "results/BENCH_noise.json".to_string());
-    let baseline_path = arg_after("--baseline");
-    let min_speedup: Option<f64> = arg_after("--min-speedup")
+    let out_path = arg_after(&args, "--out").unwrap_or_else(|| "results/BENCH_noise.json".to_string());
+    let baseline_path = arg_after(&args, "--baseline");
+    let min_speedup: Option<f64> = arg_after(&args, "--min-speedup")
         .map(|s| s.parse().expect("--min-speedup takes a number"))
         .or(if smoke { None } else { Some(3.0) });
 

@@ -24,6 +24,7 @@
 
 use qfw::planner::Planner;
 use qfw::{BackendSpec, QfwConfig, QfwSession, SelectorContext};
+use qfw_bench::util::{arg_after, median};
 use qfw_circuit::Circuit;
 use qfw_hpc::ClusterSpec;
 use qfw_workloads::{ham, tfim};
@@ -34,17 +35,6 @@ const SEED_NAME: &str = "bench_plan";
 /// (measuring a predicted-hopeless engine only burns bench minutes); the
 /// skip is reported per fixture, never silent.
 const PRUNE_FACTOR: f64 = 50.0;
-
-/// Median of a sample (sorts in place).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
 
 /// One measured candidate engine for a fixture.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -199,24 +189,18 @@ fn measure(session: &QfwSession, spec: &BackendSpec, qc: &Circuit, shots: usize,
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| "results/BENCH_plan.json".to_string());
+    let out_path = arg_after(&args, "--out").unwrap_or_else(|| "results/BENCH_plan.json".to_string());
     // 1.6x separates a wrong *family* (state vector where MPS applies,
     // dense where the stabilizer wins: >=4x off on this sweep) from
     // sibling engines of the same family, which differ only by a
     // constant-factor overhead.
-    let within: f64 = arg_after("--within")
+    let within: f64 = arg_after(&args, "--within")
         .map(|s| s.parse().expect("--within takes a number"))
         .unwrap_or(1.6);
-    let min_agreement: f64 = arg_after("--min-agreement")
+    let min_agreement: f64 = arg_after(&args, "--min-agreement")
         .map(|s| s.parse().expect("--min-agreement takes a number"))
         .unwrap_or(0.9);
-    let min_part_speedup: f64 = arg_after("--min-part-speedup")
+    let min_part_speedup: f64 = arg_after(&args, "--min-part-speedup")
         .map(|s| s.parse().expect("--min-part-speedup takes a number"))
         .unwrap_or(2.0);
 

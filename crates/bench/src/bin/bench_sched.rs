@@ -18,6 +18,7 @@
 
 use qfw::registry::BackendRegistry;
 use qfw::{BackendSpec, DispatchPolicy, Qrc};
+use qfw_bench::util::{arg_after, percentile};
 use qfw_hpc::slurm::{HetJob, HetJobSpec};
 use qfw_hpc::{ClusterSpec, Dvm};
 use qfw_obs::Obs;
@@ -80,14 +81,6 @@ fn qrc() -> Arc<Qrc> {
         WORKERS,
         DispatchPolicy::RoundRobin,
     ))
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 /// Runs one closed-loop cell: keep `outstanding` jobs in flight until
@@ -159,12 +152,7 @@ fn run_level(outstanding: usize, total: u64) -> LevelEntry {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let short = args.iter().any(|a| a == "--short");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sched.json".to_string());
+    let out = arg_after(&args, "--out").unwrap_or_else(|| "BENCH_sched.json".to_string());
     let total: u64 = if short { 64 } else { 400 };
     // ~0.5×, 2×, and 8× the pool.
     let levels: Vec<usize> = vec![2, 8, 32];

@@ -18,6 +18,7 @@
 //! *ratio* against the baseline file, which is recorded on the same host
 //! in the same session.
 
+use qfw_bench::util::arg_after;
 use qfw_circuit::{Circuit, Gate};
 use qfw_num::complex::c64;
 use qfw_num::rng::Rng;
@@ -270,14 +271,8 @@ fn flat(report: &BenchReport) -> Vec<(String, f64)> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let short = args.iter().any(|a| a == "--short");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| "results/BENCH_sv.json".to_string());
-    let baseline_path = arg_after("--baseline");
+    let out_path = arg_after(&args, "--out").unwrap_or_else(|| "results/BENCH_sv.json".to_string());
+    let baseline_path = arg_after(&args, "--baseline");
 
     let (kern_n, kern_reps, samp_n, samp_shots) = if short {
         (14, 6, 12, 20_000)

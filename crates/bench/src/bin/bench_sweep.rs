@@ -21,22 +21,12 @@
 //!   measured speedup lands under the bar.
 
 use qfw::{BackendSpec, QfwSession};
+use qfw_bench::util::{arg_after, median};
 use qfw_workloads::{qaoa_ansatz, Qubo};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 const SEED: u64 = 2025;
-
-/// Median of a sample (sorts in place).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
 
 /// A computed ratio against the baseline file.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -81,15 +71,9 @@ struct SweepReport {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| "BENCH_sweep.json".to_string());
-    let baseline_path = arg_after("--baseline");
-    let min_speedup: f64 = arg_after("--min-speedup")
+    let out_path = arg_after(&args, "--out").unwrap_or_else(|| "BENCH_sweep.json".to_string());
+    let baseline_path = arg_after(&args, "--baseline");
+    let min_speedup: f64 = arg_after(&args, "--min-speedup")
         .map(|s| s.parse().expect("--min-speedup takes a number"))
         .unwrap_or(if smoke { 1.5 } else { 5.0 });
 

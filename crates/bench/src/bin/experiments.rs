@@ -17,6 +17,7 @@
 use qfw_bench::config::Suite;
 use qfw_bench::experiments as exp;
 use qfw_bench::runner::{to_csv, Cell};
+use qfw_bench::util::arg_after;
 use std::io::Write as _;
 
 fn write_csv(dir: Option<&str>, name: &str, cells: &[Cell]) {
@@ -39,11 +40,7 @@ fn main() {
     } else {
         Suite::Quick
     };
-    let csv_dir: Option<String> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let csv_dir = arg_after(&args, "--csv");
     let csv = csv_dir.as_deref();
 
     let stdout = std::io::stdout();

@@ -14,6 +14,7 @@ use qfw_dqaoa::{
 };
 use qfw_dqaoa::qaoa::solution_fidelity;
 use qfw_dqaoa::trace::{duration_cv, max_concurrency, render_timeline};
+use qfw_noise::{Channel, NoiseModel, ReadoutError};
 use qfw_optim::{anneal, AnnealConfig};
 use qfw_workloads::{ghz, ham, hhl_benchmark, tfim, Qubo};
 use std::fmt::Write as _;
@@ -327,21 +328,27 @@ pub fn fig3f(suite: Suite) -> String {
 fn cloud_config(suite: Suite) -> CloudConfig {
     match suite {
         Suite::Paper => CloudConfig::ionq_like(),
-        Suite::Quick => CloudConfig {
-            net_latency: Duration::from_millis(6),
-            net_jitter: Duration::from_millis(5),
-            queue_delay: Duration::from_millis(20),
-            queue_jitter: Duration::from_millis(40),
-            gate_time: Duration::from_micros(5),
-            job_overhead: Duration::from_millis(8),
-            gate_error: 0.001,
-            readout_flip: 0.005,
-            seed: 0xC10D,
-            // Flat-constant noise keeps the quick suite's counts cheap to
-            // reproduce; only the paper suite pays for calibrated Kraus
-            // channels.
-            calibration: None,
-        },
+        Suite::Quick => {
+            // Uniform depolarizing + readout noise keeps the quick suite's
+            // counts cheap to reproduce; only the paper suite pays for
+            // calibrated per-qubit Kraus channels.
+            let mut noise = NoiseModel::empty();
+            noise
+                .add_1q_all(Channel::depolarizing(0.001 / 4.0))
+                .add_2q_all(Channel::depolarizing(0.001))
+                .set_readout_all(ReadoutError::symmetric(0.005));
+            CloudConfig {
+                net_latency: Duration::from_millis(6),
+                net_jitter: Duration::from_millis(5),
+                queue_delay: Duration::from_millis(20),
+                queue_jitter: Duration::from_millis(40),
+                gate_time: Duration::from_micros(5),
+                job_overhead: Duration::from_millis(8),
+                noise,
+                seed: 0xC10D,
+                calibration: None,
+            }
+        }
     }
 }
 

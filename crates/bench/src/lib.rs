@@ -11,9 +11,12 @@
 //!   and renders them as aligned text tables and CSV.
 //! * [`experiments`] — one entry point per table/figure:
 //!   `table1`, `table2`, `fig3a` … `fig3f`, `fig4`, `fig5`.
+//! * [`util`] — median/percentile and flag parsing for the `bench_*`
+//!   binaries.
 //!
 //! The `experiments` binary exposes each as a subcommand.
 
 pub mod config;
 pub mod experiments;
 pub mod runner;
+pub mod util;

@@ -22,8 +22,8 @@
 //!   channel execution noise: providers that publish a per-qubit
 //!   [`Calibration`] table (served over `GET /calibration`, drifting
 //!   under a seeded walk — one step per executed job) run jobs through
-//!   `NoiseModel::from_calibration`; providers without one fall back to
-//!   the legacy flat depolarizing + readout-flip constants.
+//!   `NoiseModel::from_calibration`; providers without one run the
+//!   configured [`CloudConfig::noise`] model (empty: ideal sampling).
 
 //!
 //! For resilience testing the provider also accepts a seeded
@@ -37,7 +37,8 @@ pub use qfw_chaos::{FaultPlan, FaultSpec};
 use qfw_circuit::text;
 pub use qfw_noise::Calibration;
 use qfw_num::rng::Rng;
-use qfw_sim_sv::noise::{run_noisy, NoiseModel};
+use qfw_obs::Obs;
+use qfw_sim_sv::noise::{run_trajectories, NoiseModel};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,17 +61,14 @@ pub struct CloudConfig {
     pub gate_time: Duration,
     /// Modeled fixed execution overhead per job.
     pub job_overhead: Duration,
-    /// Depolarizing probability per touched qubit after two-qubit gates.
-    /// Only used when no [`Calibration`] table is published.
-    pub gate_error: f64,
-    /// Probability each measured bit flips (readout error). Only used
-    /// when no [`Calibration`] table is published.
-    pub readout_flip: f64,
+    /// Execution noise. Only used when no [`Calibration`] table is
+    /// published.
+    pub noise: NoiseModel,
     /// Per-qubit device characterization. When present, execution noise
     /// comes from `NoiseModel::from_calibration` on the drifted table
-    /// (one seeded walk step per executed job) instead of the flat
-    /// `gate_error`/`readout_flip` constants, and the table is served
-    /// over the [`CloudProvider::calibration`] RPC.
+    /// (one seeded walk step per executed job) instead of [`Self::noise`],
+    /// and the table is served over the [`CloudProvider::calibration`]
+    /// RPC.
     pub calibration: Option<Calibration>,
     /// Seed for all of the provider's stochastic behaviour.
     pub seed: u64,
@@ -87,8 +85,7 @@ impl CloudConfig {
             queue_jitter: Duration::from_millis(250),
             gate_time: Duration::from_micros(30),
             job_overhead: Duration::from_millis(60),
-            gate_error: 0.002,
-            readout_flip: 0.005,
+            noise: NoiseModel::empty(),
             calibration: Some(Calibration::synthetic(29, 0xC10D)),
             seed: 0xC10D,
         }
@@ -103,8 +100,7 @@ impl CloudConfig {
             queue_jitter: Duration::ZERO,
             gate_time: Duration::ZERO,
             job_overhead: Duration::ZERO,
-            gate_error: 0.0,
-            readout_flip: 0.0,
+            noise: NoiseModel::empty(),
             calibration: None,
             seed: 7,
         }
@@ -388,13 +384,6 @@ impl CloudProvider {
                 text::parse_param(&request.circuit).map_err(|e| e.to_string())?;
             let params =
                 bound.ok_or_else(|| "parameterized job carries no 'bind' line".to_string())?;
-            if params.len() < template.num_params() {
-                return Err(format!(
-                    "bind line carries {} values but the skeleton references {} parameters",
-                    params.len(),
-                    template.num_params()
-                ));
-            }
             template.bind(&params)
         } else {
             text::parse(&request.circuit).map_err(|e| e.to_string())?
@@ -410,18 +399,19 @@ impl CloudProvider {
             + shared.config.gate_time * circuit.num_gates() as u32;
         std::thread::sleep(exec);
 
-        // A published calibration table beats the flat legacy constants:
+        // A published calibration table beats the configured model:
         // per-qubit depolarizing + thermal relaxation + asymmetric readout.
-        let model = match calibration {
-            Some(cal) => NoiseModel::from_calibration(cal),
-            #[allow(deprecated)]
-            None => NoiseModel::flat(
-                shared.config.gate_error / 4.0,
-                shared.config.gate_error,
-                shared.config.readout_flip,
-            ),
-        };
-        let counts = run_noisy(&circuit, request.shots, seed, &model, 64);
+        let calibrated = calibration.map(NoiseModel::from_calibration);
+        let model = calibrated.as_ref().unwrap_or(&shared.config.noise);
+        let counts = run_trajectories(
+            &circuit,
+            request.shots,
+            seed,
+            model,
+            64,
+            1,
+            &Obs::disabled(),
+        );
         Ok(JobResult {
             counts,
             queue_secs: 0.0,
@@ -560,6 +550,7 @@ impl Drop for CloudProvider {
 mod tests {
     use super::*;
     use qfw_circuit::Circuit;
+    use qfw_noise::ReadoutError;
 
     fn ghz_request(n: usize, shots: usize) -> JobRequest {
         let mut qc = Circuit::new(n);
@@ -667,7 +658,7 @@ mod tests {
     #[test]
     fn readout_noise_spreads_histogram() {
         let mut config = CloudConfig::instant();
-        config.readout_flip = 0.05;
+        config.noise.set_readout_all(ReadoutError::symmetric(0.05));
         let cloud = CloudProvider::start(config);
         let id = cloud.submit_job(ghz_request(6, 2000));
         let result = cloud.wait_for(id, POLL, DEADLINE).unwrap();
@@ -705,13 +696,13 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_noise_engages_instead_of_flat_constants() {
+    fn calibrated_noise_engages_instead_of_configured_model() {
         let mut config = CloudConfig::instant();
         config.calibration = Some(Calibration::synthetic(6, 11));
         let cloud = CloudProvider::start(config);
         let id = cloud.submit_job(ghz_request(6, 2000));
         let result = cloud.wait_for(id, POLL, DEADLINE).unwrap();
-        // gate_error/readout_flip are zero here, so any spread beyond the
+        // The configured model is empty here, so any spread beyond the
         // two ideal GHZ outcomes comes from the calibration channels.
         assert!(result.counts.len() > 2, "calibration noise had no effect");
         let top2: usize = {

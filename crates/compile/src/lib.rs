@@ -7,7 +7,7 @@
 //! a wire-edged DAG ([`DagCircuit`]), rewritten by exactly
 //! unitary-preserving passes ([`passes`]), and lowered back out — to
 //! `qfwasm` for the scheduler and caches, or to canonical QASM3 text
-//! whose hash is stable under formatting ([`qasm3::canonical_hash`]).
+//! that is stable under formatting ([`qasm3::canonical_qasm3`]).
 //! At O3 the compiler additionally plans a connectivity-aware qubit
 //! ordering ([`passes::plan_layout`]) that the distributed state-vector
 //! engine seeds for free at `|0…0⟩`, steering its Belady remap planner
@@ -27,8 +27,8 @@ pub use passes::{
     MergeRotations, OptLevel, Pass, PassOutcome, RecognizeTemplates, Resynth1q, SinkDiagonals,
 };
 pub use qasm3::{
-    canonical_hash, canonical_qasm3, default_param_names, emit, is_qasm3, lower_to_stdgates,
-    parse, ParsedQasm, Qasm3Error,
+    canonical_qasm3, default_param_names, emit, is_qasm3, lower_to_stdgates, parse, ParsedQasm,
+    Qasm3Error,
 };
 
 use qfw_circuit::Circuit;

@@ -119,13 +119,6 @@ pub fn unmarshal_circuit(task: &ExecTask) -> Result<(Circuit, f64), QfwError> {
                     .into(),
             )
         })?;
-        if params.len() < template.num_params() {
-            return Err(QfwError::Marshal(format!(
-                "bind line carries {} values but the skeleton references {} parameters",
-                params.len(),
-                template.num_params()
-            )));
-        }
         template.bind(&params)
     } else {
         text::parse(&task.circuit).map_err(|e| QfwError::Marshal(e.to_string()))?

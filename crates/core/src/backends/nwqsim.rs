@@ -66,20 +66,26 @@ impl Default for NwqSimBackend {
 }
 
 impl NwqSimBackend {
-    /// Resolves the task's noise model. The canonical `noise_model` text
-    /// extra (the `qfw-noise` wire codec) wins; the legacy flat
-    /// `noise_p1`/`noise_p2`/`noise_readout` constants are honoured
-    /// otherwise.
+    /// Resolves the task's noise model from the canonical `noise_model`
+    /// text extra (the `qfw-noise` wire codec); without it the task runs
+    /// ideal. The retired flat-constant extras are refused rather than
+    /// ignored, so a caller still sending them never gets a silently
+    /// ideal run.
     fn noise_of(spec: &BackendSpec) -> Result<NoiseModel, QfwError> {
-        if let Some(text) = spec.extra_parsed::<String>("noise_model") {
-            return NoiseModel::parse(&text).map_err(|e| QfwError::BadProperties(e.to_string()));
+        if let Some(key) = ["noise_p1", "noise_p2", "noise_readout"]
+            .into_iter()
+            .find(|k| spec.extra.contains_key(*k))
+        {
+            return Err(QfwError::BadProperties(format!(
+                "'{key}' is no longer accepted; pass the channels as 'noise_model' text"
+            )));
         }
-        #[allow(deprecated)]
-        Ok(NoiseModel::flat(
-            spec.extra_parsed("noise_p1").unwrap_or(0.0),
-            spec.extra_parsed("noise_p2").unwrap_or(0.0),
-            spec.extra_parsed("noise_readout").unwrap_or(0.0),
-        ))
+        match spec.extra_parsed::<String>("noise_model") {
+            Some(text) => {
+                NoiseModel::parse(&text).map_err(|e| QfwError::BadProperties(e.to_string()))
+            }
+            None => Ok(NoiseModel::empty()),
+        }
     }
 
     /// Trajectory budget for noisy execution (`noise_trajectories`,
@@ -258,13 +264,6 @@ impl NwqSimBackend {
         let params = bound.ok_or_else(|| {
             QfwError::Marshal("parameterized task carries no 'bind' line".into())
         })?;
-        if params.len() < template.num_params() {
-            return Err(QfwError::Marshal(format!(
-                "bind line carries {} values but the skeleton references {} parameters",
-                params.len(),
-                template.num_params()
-            )));
-        }
         let fusion = Self::fusion_of(&task.spec);
         let cores = if sub == "openmp" {
             ctx.hetjob.cluster().node.app_cores_per_llc()
@@ -329,10 +328,8 @@ impl BackendQpm for NwqSimBackend {
         let sub = self.resolve_subbackend(&task.spec)?;
         let total = Stopwatch::start();
 
-        // Optional stochastic noise channels, selected via runtime
-        // properties (the canonical `noise_model` text, or the legacy
-        // `noise_p1`/`noise_p2`/`noise_readout` constants) — the NISQ
-        // emulation path.
+        // Optional stochastic noise channels, selected via the canonical
+        // `noise_model` text property — the NISQ emulation path.
         let noise = Self::noise_of(&task.spec)?;
 
         // Bound parameterized tasks on the local sub-backends take the
@@ -665,6 +662,14 @@ mod tests {
     use crate::spec::{BackendSpec, SweepPointSpec};
     use qfw_circuit::param::Angle;
 
+    /// `noise_model` text of a two-qubit depolarizing channel on every
+    /// qubit.
+    fn depol_2q(p2: f64) -> String {
+        let mut model = qfw_noise::NoiseModel::empty();
+        model.add_2q_all(qfw_noise::Channel::depolarizing(p2));
+        model.to_text()
+    }
+
     #[test]
     fn all_subbackends_agree_on_ghz() {
         let rig = TestRig::new(2);
@@ -714,19 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn noise_properties_engage_the_noisy_path() {
-        let rig = TestRig::new(1);
-        let spec = BackendSpec::of("nwqsim", "cpu")
-            .with_extra("noise_p2", 0.05)
-            .with_extra("noise_readout", 0.01);
-        let task = ghz_task(6, 2000, spec);
-        let result = NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap();
-        assert!(result.metadata.contains_key("noise"));
-        // Noise leaks probability out of the two GHZ outcomes.
-        assert!(result.counts.len() > 2, "noise had no visible effect");
-    }
-
-    #[test]
     fn noise_model_extra_engages_kraus_channels() {
         let rig = TestRig::new(1);
         let mut model = qfw_noise::NoiseModel::empty();
@@ -759,7 +751,7 @@ mod tests {
         // trajectory-parallel sub-backends must agree bitwise.
         let rig = TestRig::new(1);
         let run = |sub: &str| {
-            let spec = BackendSpec::of("nwqsim", sub).with_extra("noise_p2", 0.03);
+            let spec = BackendSpec::of("nwqsim", sub).with_extra("noise_model", depol_2q(0.03));
             let task = ghz_task(6, 1000, spec);
             NwqSimBackend::default()
                 .execute(&task, &rig.ctx())
@@ -784,7 +776,7 @@ mod tests {
         let rig = TestRig::new(1);
         let spec = BackendSpec::of("nwqsim", "mpi")
             .with_ranks(2)
-            .with_extra("noise_p2", 0.05);
+            .with_extra("noise_model", depol_2q(0.05));
         let task = ghz_task(5, 10, spec);
         assert!(matches!(
             NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap_err(),

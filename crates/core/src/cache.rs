@@ -446,7 +446,7 @@ mod tests {
         assert_ne!(base, result_key(circ, 7, 100, &BackendSpec::of("aer", "cpu")));
         assert_ne!(
             base,
-            result_key(circ, 7, 100, &spec.clone().with_extra("noise_p1", 0.01))
+            result_key(circ, 7, 100, &spec.clone().with_extra("noise_trajectories", 32))
         );
         // Canonicalization: a formatting variant keys identically.
         let noisy = circ.replace("\nh q0", "\n# c\n\nh q0");

@@ -48,6 +48,6 @@ pub use planner::{CostCoefficients, PartitionPlan, Planned, Planner};
 pub use qrc::{DispatchPolicy, Qrc, SlotSnapshot};
 pub use registry::{BackendRegistry, Capabilities};
 pub use result::{ExecProfile, QfwResult};
-pub use selector::{select_backend, Recommendation, SelectorContext};
+pub use selector::{Recommendation, SelectorContext};
 pub use session::{QfwConfig, QfwSession};
 pub use spec::{BackendSpec, ExecTask, SweepPointSpec, SweepTask};

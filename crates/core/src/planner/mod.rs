@@ -74,8 +74,8 @@ pub struct Planned {
 }
 
 /// The cost-model planner. Cheap to construct; `Qrc` holds one per pool
-/// so online corrections accumulate per session, while the stateless
-/// `selector` wrappers build a fresh one per call for determinism.
+/// so online corrections accumulate per session, while a fresh
+/// `Planner::default()` ranks deterministically.
 #[derive(Default)]
 pub struct Planner {
     coeffs: CostCoefficients,
@@ -130,6 +130,15 @@ impl Planner {
     /// within quality tier. The list is never empty, never contains a
     /// duplicate spec, and holds at least two entries whenever a second
     /// engine is admissible (QRC's failover chain depends on it).
+    ///
+    /// ```
+    /// use qfw::{Planner, SelectorContext};
+    /// let mut ghz = qfw_circuit::Circuit::new(8);
+    /// ghz.h(0);
+    /// for q in 0..7 { ghz.cx(q, q + 1); }
+    /// let ranked = Planner::default().plan(&ghz, 1024, SelectorContext::default());
+    /// assert_eq!(ranked[0].rec.spec.backend, "aer"); // Clifford -> stabilizer fast path
+    /// ```
     pub fn plan(&self, circuit: &Circuit, shots: usize, ctx: SelectorContext) -> Vec<Planned> {
         let n = circuit.num_qubits();
         let shots = if shots == 0 { DEFAULT_PLAN_SHOTS } else { shots };
@@ -342,6 +351,35 @@ pub(crate) fn prev_power_of_two(x: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qfw_workloads::{ghz, hhl_benchmark, tfim};
+
+    fn ctx(free: usize) -> SelectorContext {
+        SelectorContext {
+            free_cores: free,
+            cloud_available: false,
+        }
+    }
+
+    fn with_cloud() -> SelectorContext {
+        SelectorContext {
+            free_cores: 8,
+            cloud_available: true,
+        }
+    }
+
+    /// A fresh planner's ranking at the default shot budget.
+    fn ranked(circuit: &Circuit, ctx: SelectorContext) -> Vec<Recommendation> {
+        Planner::default()
+            .plan(circuit, DEFAULT_PLAN_SHOTS, ctx)
+            .into_iter()
+            .map(|p| p.rec)
+            .collect()
+    }
+
+    /// A fresh planner's first choice at the default shot budget.
+    fn primary(circuit: &Circuit, ctx: SelectorContext) -> Recommendation {
+        ranked(circuit, ctx).remove(0)
+    }
 
     #[test]
     fn prev_power_of_two_rounds_down() {
@@ -371,39 +409,66 @@ mod tests {
         // ham-like: SV and MPS are within the correction band of each
         // other; a consistently slow SV engine flips the ranking.
         let deep = qfw_workloads::ham::ham_with(10, 4, 0.25);
-        let ctx = SelectorContext {
-            free_cores: 1,
-            cloud_available: false,
-        };
         let planner = Planner::default();
-        let before = planner.plan(&deep, 200, ctx);
+        let before = planner.plan(&deep, 200, ctx(1));
         assert_eq!(before[0].rec.spec.backend, "nwqsim");
         for _ in 0..64 {
             planner.observe("nwqsim/cpu", 1.0, 100.0);
             planner.observe("aer/automatic", 1.0, 100.0);
         }
-        let after = planner.plan(&deep, 200, ctx);
+        let after = planner.plan(&deep, 200, ctx(1));
         assert_eq!(after[0].rec.spec.subbackend, "matrix_product_state");
     }
 
+    /// Regression for the failover-gap bug: beyond `DENSE_LIMIT` the
+    /// best-effort-MPS primary used to dedupe against the only fallback,
+    /// leaving QRC a single-entry list. Every plan keeps >=2 candidates
+    /// whenever a second engine is admissible: distinct engines within the
+    /// dense limit, distinct full specs (extras included) beyond it.
     #[test]
     fn plan_is_deduped_and_never_single_entry() {
         let planner = Planner::default();
-        let ctx = SelectorContext {
-            free_cores: 8,
-            cloud_available: false,
-        };
-        for n in [4usize, 12, 20, 27, 40] {
+        let chain = |n: usize| {
             let mut qc = Circuit::new(n);
             for q in 0..n - 1 {
                 qc.rzz(q, q + 1, 1.5);
             }
             qc.rx(0, 0.2);
-            let plan = planner.plan(&qc, 256, ctx);
+            qc
+        };
+        // Long-range, strongly entangling, no cloud: the old code returned
+        // exactly one candidate here.
+        let mut long_range = Circuit::new(30);
+        for q in 0..15 {
+            long_range.rzz(q, 29 - q, 1.2);
+        }
+        let fixtures = [4usize, 12, 20, 27, 40]
+            .into_iter()
+            .map(|n| (chain(n), 256))
+            .chain([
+                (ghz(8), DEFAULT_PLAN_SHOTS),
+                (long_range, DEFAULT_PLAN_SHOTS),
+                (tfim(40), DEFAULT_PLAN_SHOTS),
+            ]);
+        for (qc, shots) in fixtures {
+            let n = qc.num_qubits();
+            let plan = planner.plan(&qc, shots, ctx(8));
             assert!(plan.len() >= 2, "n={n}: {} candidates", plan.len());
             for (i, a) in plan.iter().enumerate() {
                 for b in &plan[i + 1..] {
-                    assert_ne!(a.rec.spec, b.rec.spec, "duplicate spec at n={n}");
+                    let (a, b) = (&a.rec.spec, &b.rec.spec);
+                    if n <= DENSE_LIMIT {
+                        // No chi_max variant within the dense limit: each
+                        // candidate is a distinct engine.
+                        assert!(
+                            a.backend != b.backend || a.subbackend != b.subbackend,
+                            "duplicate candidate {}/{} at n={n}",
+                            a.backend,
+                            a.subbackend
+                        );
+                    } else {
+                        assert_ne!(a, b, "duplicate spec at n={n}");
+                    }
                 }
             }
             // Ranking is monotone in (tier, cost).
@@ -414,5 +479,125 @@ mod tests {
                 );
             }
         }
+        // Nearest-neighbour weak entanglers beyond the dense limit: the
+        // exact-MPS primary and the raised-bond best-effort variant differ
+        // only in extras and must both survive dedupe.
+        let mps_variants = ranked(&tfim(40), ctx(8))
+            .iter()
+            .filter(|r| r.spec.subbackend == "matrix_product_state")
+            .count();
+        assert!(mps_variants >= 2, "chi_max variant was deduped away");
+    }
+
+    #[test]
+    fn ghz_routes_to_stabilizer() {
+        let rec = primary(&ghz(24), ctx(8));
+        assert_eq!(rec.spec.backend, "aer");
+        assert_eq!(rec.spec.subbackend, "automatic");
+        assert!(rec.rationale.contains("Clifford"));
+    }
+
+    #[test]
+    fn tfim_routes_to_mps() {
+        let rec = primary(&tfim(20), ctx(8));
+        assert_eq!(rec.spec.subbackend, "matrix_product_state");
+    }
+
+    #[test]
+    fn ham_small_routes_to_serial_sv() {
+        // HAM is nearest-neighbour but its per-cut rzz count (steps) pushes
+        // the effective bond dimension high enough that the predicted MPS
+        // cost loses to a 10-qubit dense sweep.
+        let deep = qfw_workloads::ham::ham_with(10, 12, 0.25);
+        let rec = primary(&deep, ctx(1));
+        assert_eq!(rec.spec.backend, "nwqsim");
+        assert_eq!(rec.spec.subbackend, "cpu");
+    }
+
+    #[test]
+    fn large_entangled_routes_to_distributed_sv() {
+        let deep = qfw_workloads::ham::ham_with(22, 12, 0.25);
+        let rec = primary(&deep, ctx(8));
+        assert_eq!(rec.spec.backend, "nwqsim");
+        assert_eq!(rec.spec.subbackend, "mpi");
+        assert!(rec.spec.ranks >= 2);
+        assert!(rec.spec.ranks.is_power_of_two());
+    }
+
+    #[test]
+    fn hhl_routes_to_dense() {
+        let (circuit, _) = hhl_benchmark(9);
+        let rec = primary(&circuit, ctx(1));
+        assert_eq!(rec.spec.backend, "nwqsim");
+    }
+
+    #[test]
+    fn beyond_dense_nearest_neighbor_stays_mps() {
+        let rec = primary(&tfim(40), ctx(8));
+        assert_eq!(rec.spec.subbackend, "matrix_product_state");
+    }
+
+    #[test]
+    fn ranked_list_keeps_cloud_admissible() {
+        // 27 qubits, nearest-neighbour but strongly entangling: primary is
+        // the cloud, fallback must stay inside what MPS can attempt.
+        let mut qc = Circuit::new(27);
+        for q in 0..26 {
+            qc.rzz(q, q + 1, 1.5);
+        }
+        let ranked = ranked(&qc, with_cloud());
+        assert_eq!(ranked[0].spec.backend, "ionq");
+        assert!(ranked
+            .iter()
+            .any(|r| r.spec.subbackend == "matrix_product_state"));
+    }
+
+    #[test]
+    fn beyond_dense_long_range_prefers_cloud_when_available() {
+        // A wide, long-range, non-Clifford circuit.
+        let mut qc = Circuit::new(28);
+        for q in 0..28 {
+            qc.ry(q, 0.3);
+        }
+        for q in 0..14 {
+            qc.rzz(q, 27 - q, 0.4);
+        }
+        assert_eq!(primary(&qc, with_cloud()).spec.backend, "ionq");
+        let without = primary(&qc, ctx(8));
+        assert_eq!(without.spec.subbackend, "matrix_product_state");
+        assert_eq!(without.spec.extra_parsed::<usize>("chi_max"), Some(128));
+    }
+
+    /// Regression for the rank-sizing bug: `free_cores.next_power_of_two()`
+    /// rounded *up* (5 free cores -> 8 ranks), oversubscribing the
+    /// allocation, and the old `is_power_of_two` guard after it was dead
+    /// code. Ranks must round *down* to the previous power of two.
+    #[test]
+    fn distributed_ranks_never_oversubscribe_free_cores() {
+        let deep = qfw_workloads::ham::ham_with(22, 12, 0.25);
+        for (free, want) in [(3usize, 2usize), (5, 4), (6, 4)] {
+            let rec = primary(&deep, ctx(free));
+            assert_eq!(rec.spec.subbackend, "mpi", "free={free}");
+            assert_eq!(rec.spec.ranks, want, "free={free}");
+            assert!(rec.spec.ranks <= free, "oversubscribed at free={free}");
+            assert!(rec.spec.ranks.is_power_of_two());
+        }
+    }
+
+    /// The two cloud-admissibility checks used to be independent literal
+    /// `29`s; both paths now share [`CLOUD_QUBIT_LIMIT`].
+    #[test]
+    fn cloud_admissibility_is_shared_and_capped() {
+        let wide = |n: usize| {
+            let mut qc = Circuit::new(n);
+            for q in 0..n / 2 {
+                qc.rzz(q, n - 1 - q, 1.2);
+            }
+            qc
+        };
+        let at_cap = ranked(&wide(CLOUD_QUBIT_LIMIT), with_cloud());
+        assert_eq!(at_cap[0].spec.backend, "ionq");
+        let over_cap = ranked(&wide(CLOUD_QUBIT_LIMIT + 1), with_cloud());
+        assert!(over_cap.iter().all(|r| r.spec.backend != "ionq"));
     }
 }

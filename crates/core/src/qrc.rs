@@ -29,7 +29,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use qfw_chaos::FaultPlan;
 use qfw_hpc::slurm::{Allocation, HetJob};
 use qfw_hpc::{Dvm, Stopwatch};
-use qfw_obs::Obs;
+use qfw_obs::{Obs, Span};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -327,39 +327,19 @@ impl Qrc {
             return self.execute_auto(task);
         }
         let backend: Arc<dyn BackendQpm> = self.registry.get(&task.spec.backend)?;
-        let queue_sw = Stopwatch::start();
-        let mut acquire_span = self.obs.span("qrc", "qrc.slot.acquire");
-        let (slot, requeued) = self.acquire_with_chaos()?;
-        acquire_span.set_attr("requeues", requeued);
-        let (acq_start, acq_end) = acquire_span.finish();
-        let queue_secs = queue_sw.elapsed_secs();
-
-        let mut exec_span = self
-            .obs
-            .span("qrc", "qrc.execute")
-            .attr("backend", task.spec.backend.as_str())
-            .attr("subbackend", task.spec.subbackend.as_str());
-        let ctx = ExecContext {
-            dvm: &self.dvm,
-            hetjob: &self.hetjob,
-            group: self.group,
-            obs: &self.obs,
-        };
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        let outcome = guarded(|| backend.execute(task, &ctx));
-        exec_span.set_attr("ok", outcome.is_ok());
-        drop(exec_span);
-        slot.tasks_run.fetch_add(1, Ordering::Relaxed);
-        self.release_slot(&slot);
-        if self.obs.is_enabled() {
-            self.obs.counter("qrc.tasks").inc();
-            self.obs.counter("qrc.requeues").add(requeued);
-            self.obs
-                .histogram("qrc.queue_us")
-                .observe_us(acq_end.saturating_sub(acq_start));
-            self.refresh_slot_gauges();
-        }
-
+        let (outcome, queue_secs) = self.leased(
+            "qrc.execute",
+            |span| {
+                span.attr("backend", task.spec.backend.as_str())
+                    .attr("subbackend", task.spec.subbackend.as_str())
+            },
+            1,
+            |ctx| {
+                let outcome = guarded(|| backend.execute(task, ctx));
+                let ok = outcome.is_ok();
+                (outcome, ok)
+            },
+        )?;
         outcome.map(|mut result| {
             result.profile.queue_secs += queue_secs;
             result
@@ -383,52 +363,34 @@ impl Qrc {
         if tasks.iter().any(|t| t.spec.backend == "auto") {
             return tasks.iter().map(|t| self.execute(t)).collect();
         }
-        let queue_sw = Stopwatch::start();
-        let mut acquire_span = self.obs.span("qrc", "qrc.slot.acquire");
-        let (slot, requeued) = match self.acquire_with_chaos() {
-            Ok(pair) => pair,
-            Err(e) => return tasks.iter().map(|_| Err(e.clone())).collect(),
-        };
-        acquire_span.set_attr("requeues", requeued);
-        let (acq_start, acq_end) = acquire_span.finish();
-        let queue_secs = queue_sw.elapsed_secs();
-
-        let mut batch_span = self
-            .obs
-            .span("qrc", "qrc.execute_batch")
-            .attr("size", tasks.len() as u64)
-            .attr("backend", tasks[0].spec.backend.as_str());
-        let ctx = ExecContext {
-            dvm: &self.dvm,
-            hetjob: &self.hetjob,
-            group: self.group,
-            obs: &self.obs,
-        };
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        let mut results = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let outcome = match self.registry.get(&task.spec.backend) {
-                Ok(backend) => guarded(|| backend.execute(task, &ctx)).map(|mut result| {
+        let leased = self.leased(
+            "qrc.execute_batch",
+            |span| {
+                span.attr("size", tasks.len() as u64)
+                    .attr("backend", tasks[0].spec.backend.as_str())
+            },
+            tasks.len() as u64,
+            |ctx| {
+                let results: Vec<_> = tasks
+                    .iter()
+                    .map(|task| {
+                        let backend = self.registry.get(&task.spec.backend)?;
+                        guarded(|| backend.execute(task, ctx))
+                    })
+                    .collect();
+                let ok = results.iter().all(Result::is_ok);
+                (results, ok)
+            },
+        );
+        match leased {
+            Ok((mut results, queue_secs)) => {
+                for result in results.iter_mut().flatten() {
                     result.profile.queue_secs += queue_secs;
-                    result
-                }),
-                Err(e) => Err(e),
-            };
-            results.push(outcome);
+                }
+                results
+            }
+            Err(e) => tasks.iter().map(|_| Err(e.clone())).collect(),
         }
-        batch_span.set_attr("ok", results.iter().all(Result::is_ok));
-        drop(batch_span);
-        slot.tasks_run.fetch_add(tasks.len() as u64, Ordering::Relaxed);
-        self.release_slot(&slot);
-        if self.obs.is_enabled() {
-            self.obs.counter("qrc.tasks").add(tasks.len() as u64);
-            self.obs.counter("qrc.requeues").add(requeued);
-            self.obs
-                .histogram("qrc.queue_us")
-                .observe_us(acq_end.saturating_sub(acq_start));
-            self.refresh_slot_gauges();
-        }
-        results
     }
 
     /// Executes a compile-once/bind-many sweep under **one** slot
@@ -440,6 +402,43 @@ impl Qrc {
     /// every point shares the skeleton, so one error dooms them all.
     pub fn execute_sweep(&self, task: &SweepTask) -> Result<Vec<QfwResult>, QfwError> {
         let backend: Arc<dyn BackendQpm> = self.registry.get(&task.spec.backend)?;
+        let (outcome, queue_secs) = self.leased(
+            "qrc.execute_sweep",
+            |span| {
+                span.attr("points", task.points.len() as u64)
+                    .attr("backend", task.spec.backend.as_str())
+                    .attr("subbackend", task.spec.subbackend.as_str())
+            },
+            task.points.len() as u64,
+            |ctx| {
+                let outcome = guarded(|| backend.execute_sweep(task, ctx));
+                let ok = outcome.is_ok();
+                (outcome, ok)
+            },
+        )?;
+        outcome.map(|mut results| {
+            for result in &mut results {
+                result.profile.queue_secs += queue_secs;
+            }
+            results
+        })
+    }
+
+    /// One slot lease around one engine invocation, shared by every
+    /// dispatch path: acquires a slot under a `qrc.slot.acquire` span,
+    /// opens the `span` execution span (attributes added by `label`),
+    /// counts the invocation, runs `body`, releases the slot crediting it
+    /// with `tasks`, and records the `qrc.tasks` / `qrc.requeues` /
+    /// `qrc.queue_us` metrics and slot gauges. `body` returns its outcome
+    /// and the span's `ok` flag; the lease returns the outcome with the
+    /// seconds spent waiting for the slot.
+    fn leased<T>(
+        &self,
+        span: &str,
+        label: impl FnOnce(Span) -> Span,
+        tasks: u64,
+        body: impl FnOnce(&ExecContext<'_>) -> (T, bool),
+    ) -> Result<(T, f64), QfwError> {
         let queue_sw = Stopwatch::start();
         let mut acquire_span = self.obs.span("qrc", "qrc.slot.acquire");
         let (slot, requeued) = self.acquire_with_chaos()?;
@@ -447,12 +446,7 @@ impl Qrc {
         let (acq_start, acq_end) = acquire_span.finish();
         let queue_secs = queue_sw.elapsed_secs();
 
-        let mut sweep_span = self
-            .obs
-            .span("qrc", "qrc.execute_sweep")
-            .attr("points", task.points.len() as u64)
-            .attr("backend", task.spec.backend.as_str())
-            .attr("subbackend", task.spec.subbackend.as_str());
+        let mut exec_span = label(self.obs.span("qrc", span));
         let ctx = ExecContext {
             dvm: &self.dvm,
             hetjob: &self.hetjob,
@@ -460,26 +454,20 @@ impl Qrc {
             obs: &self.obs,
         };
         self.invocations.fetch_add(1, Ordering::Relaxed);
-        let outcome = guarded(|| backend.execute_sweep(task, &ctx));
-        sweep_span.set_attr("ok", outcome.is_ok());
-        drop(sweep_span);
-        slot.tasks_run.fetch_add(task.points.len() as u64, Ordering::Relaxed);
+        let (outcome, ok) = body(&ctx);
+        exec_span.set_attr("ok", ok);
+        drop(exec_span);
+        slot.tasks_run.fetch_add(tasks, Ordering::Relaxed);
         self.release_slot(&slot);
         if self.obs.is_enabled() {
-            self.obs.counter("qrc.tasks").add(task.points.len() as u64);
+            self.obs.counter("qrc.tasks").add(tasks);
             self.obs.counter("qrc.requeues").add(requeued);
             self.obs
                 .histogram("qrc.queue_us")
                 .observe_us(acq_end.saturating_sub(acq_start));
             self.refresh_slot_gauges();
         }
-
-        outcome.map(|mut results| {
-            for result in &mut results {
-                result.profile.queue_secs += queue_secs;
-            }
-            results
-        })
+        Ok((outcome, queue_secs))
     }
 
     /// Workload-driven dispatch: analyze, select, rewrite, re-execute.
@@ -713,6 +701,59 @@ mod tests {
             seed: 3,
             spec,
         }
+    }
+
+    /// A `bind` line shorter than the skeleton's parameter count is
+    /// refused by the parser on every path — nwqsim's compile-once plan
+    /// path, the unmarshal path a `noise_model` forces, and the cloud,
+    /// whose job ends `Failed` — as a typed error, never a panic.
+    #[test]
+    fn short_bind_line_is_a_typed_error_on_every_path() {
+        let provider = Arc::new(qfw_cloud::CloudProvider::start(
+            qfw_cloud::CloudConfig::instant(),
+        ));
+        let cluster = ClusterSpec::test(3);
+        let qrc = Qrc::new(
+            BackendRegistry::standard(Some(Arc::clone(&provider))),
+            Arc::new(HetJob::submit(&cluster, &HetJobSpec::qfw_standard(2)).unwrap()),
+            Arc::new(Dvm::new(&cluster)),
+            1,
+            1,
+            DispatchPolicy::RoundRobin,
+        );
+        let mut template = qfw_circuit::ParamCircuit::new(2);
+        template
+            .rx(0, qfw_circuit::Angle::sym(0))
+            .rx(1, qfw_circuit::Angle::sym(1))
+            .measure_all();
+        let short = text::dump_param_bound(&template, &[0.3]);
+        let mut noise = qfw_noise::NoiseModel::empty();
+        noise.add_2q_all(qfw_noise::Channel::depolarizing(0.01));
+        let task = |spec: BackendSpec| ExecTask {
+            circuit: short.clone(),
+            shots: 10,
+            seed: 1,
+            spec,
+        };
+        for spec in [
+            BackendSpec::of("nwqsim", "cpu"),
+            BackendSpec::of("nwqsim", "cpu").with_extra("noise_model", noise.to_text()),
+        ] {
+            match qrc.execute(&task(spec)).unwrap_err() {
+                QfwError::Marshal(msg) => assert!(msg.contains("bind"), "{msg}"),
+                other => panic!("expected a marshal error, got {other}"),
+            }
+        }
+        match qrc.execute(&task(BackendSpec::of("ionq", "simulator"))).unwrap_err() {
+            QfwError::Execution(msg) => {
+                assert!(msg.contains("bind") && !msg.contains("panicked"), "{msg}")
+            }
+            other => panic!("expected an execution error, got {other}"),
+        }
+        assert!(matches!(
+            provider.job_status(1),
+            Ok(qfw_cloud::JobStatus::Failed(_))
+        ));
     }
 
     #[test]

@@ -69,23 +69,6 @@ impl NoiseModel {
             && self.per_qubit_readout.is_empty()
     }
 
-    /// The legacy flat model: depolarizing `p1` after single-qubit
-    /// gates, depolarizing `p2` per touched qubit after multi-qubit
-    /// gates, symmetric readout flip probability `readout` — on every
-    /// qubit.
-    #[deprecated(
-        note = "flat per-device constants lose per-qubit structure; build from a \
-                Calibration table (NoiseModel::from_calibration) or add explicit \
-                channels instead"
-    )]
-    pub fn flat(p1: f64, p2: f64, readout: f64) -> NoiseModel {
-        let mut model = NoiseModel::empty();
-        model.add_1q_all(Channel::depolarizing(p1));
-        model.add_2q_all(Channel::depolarizing(p2));
-        model.set_readout_all(ReadoutError::symmetric(readout));
-        model
-    }
-
     /// Lowers a calibration table into channels: per qubit, a
     /// depolarizing channel at the measured gate error plus thermal
     /// relaxation over the gate duration for both gate classes, and the
@@ -435,24 +418,12 @@ mod tests {
 
     #[test]
     fn zero_strength_channels_collapse_to_empty() {
-        #[allow(deprecated)]
-        let m = NoiseModel::flat(0.0, 0.0, 0.0);
+        let mut m = NoiseModel::empty();
+        m.add_1q_all(Channel::depolarizing(0.0))
+            .add_2q_all(Channel::depolarizing(0.0))
+            .set_readout_all(ReadoutError::symmetric(0.0));
         assert!(m.is_empty());
         assert_eq!(m.content_hash(), NoiseModel::empty().content_hash());
-    }
-
-    #[test]
-    fn flat_model_reexpresses_the_legacy_triple() {
-        #[allow(deprecated)]
-        let m = NoiseModel::flat(0.001, 0.02, 0.005);
-        assert_eq!(m.channels(1, 0).len(), 1);
-        assert_eq!(m.channels(2, 7).len(), 1);
-        match m.channels(2, 7)[0].kind() {
-            ChannelKind::Depolarizing { p } => assert_eq!(*p, 0.02),
-            other => panic!("{other:?}"),
-        }
-        let ro = m.readout(12).unwrap();
-        assert_eq!((ro.p01, ro.p10), (0.005, 0.005));
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub use dist::{
 };
 pub use engine::{SvConfig, SvSimulator, Threading};
 pub use fusion::FusionLevel;
-pub use noise::{run_noisy, run_trajectories, NoiseModel};
+pub use noise::{run_trajectories, NoiseModel};
 pub use state::{canonical_split_bits, StateVector, DEFAULT_SPLIT_BITS};
 pub use sweep::{SweepError, SweepPlan, SweepPoint};

@@ -196,27 +196,6 @@ pub fn run_trajectories(
     counts
 }
 
-/// Serial compatibility wrapper over [`run_trajectories`] (one worker,
-/// no observability) — the signature the cloud and the NWQ-Sim adapter
-/// historically used.
-pub fn run_noisy(
-    circuit: &Circuit,
-    shots: usize,
-    seed: u64,
-    model: &NoiseModel,
-    max_trajectories: usize,
-) -> BTreeMap<String, usize> {
-    run_trajectories(
-        circuit,
-        shots,
-        seed,
-        model,
-        max_trajectories,
-        1,
-        &Obs::disabled(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,6 +217,16 @@ mod tests {
         m
     }
 
+    /// Depolarizing `p1`/`p2` after one-/two-qubit gates and a symmetric
+    /// readout flip `ro`, on every qubit.
+    fn uniform(p1: f64, p2: f64, ro: f64) -> NoiseModel {
+        let mut m = NoiseModel::empty();
+        m.add_1q_all(Channel::depolarizing(p1))
+            .add_2q_all(Channel::depolarizing(p2))
+            .set_readout_all(ReadoutError::symmetric(ro));
+        m
+    }
+
     /// Fraction of shots that land outside the ideal GHZ outcomes.
     fn leakage(counts: &BTreeMap<String, usize>, n: usize) -> f64 {
         let shots: usize = counts.values().sum();
@@ -248,14 +237,22 @@ mod tests {
 
     #[test]
     fn ideal_model_matches_plain_sampling() {
-        let counts = run_noisy(&ghz(5), 500, 7, &NoiseModel::empty(), 64);
+        let counts = run_trajectories(
+            &ghz(5),
+            500,
+            7,
+            &NoiseModel::empty(),
+            64,
+            1,
+            &Obs::disabled(),
+        );
         assert_eq!(counts.values().sum::<usize>(), 500);
         assert_eq!(counts.len(), 2);
     }
 
     #[test]
     fn depolarizing_noise_leaks_out_of_the_ghz_subspace() {
-        let counts = run_noisy(&ghz(6), 3000, 11, &depol_2q(0.05), 64);
+        let counts = run_trajectories(&ghz(6), 3000, 11, &depol_2q(0.05), 64, 1, &Obs::disabled());
         let l = leakage(&counts, 6);
         assert!(l > 0.05, "leakage {l} too small for 5% 2q error");
         assert!(l < 0.8, "leakage {l} implausibly large");
@@ -263,7 +260,12 @@ mod tests {
 
     #[test]
     fn noise_grows_with_error_rate() {
-        let run = |p2: f64| leakage(&run_noisy(&ghz(6), 3000, 5, &depol_2q(p2), 64), 6);
+        let run = |p2: f64| {
+            leakage(
+                &run_trajectories(&ghz(6), 3000, 5, &depol_2q(p2), 64, 1, &Obs::disabled()),
+                6,
+            )
+        };
         let low = run(0.01);
         let high = run(0.10);
         assert!(high > low, "leakage did not grow: {low} vs {high}");
@@ -277,7 +279,7 @@ mod tests {
         qc.measure_all();
         let mut model = NoiseModel::empty();
         model.set_readout_all(ReadoutError::symmetric(0.02));
-        let counts = run_noisy(&qc, 20_000, 3, &model, 8);
+        let counts = run_trajectories(&qc, 20_000, 3, &model, 8, 1, &Obs::disabled());
         let flips: usize = counts
             .iter()
             .map(|(bits, c)| bits.chars().filter(|&b| b == '1').count() * c)
@@ -294,7 +296,7 @@ mod tests {
         qc.measure_all();
         let mut model = NoiseModel::empty();
         model.set_readout(0, ReadoutError::new(0.0, 0.5));
-        let counts = run_noisy(&qc, 8_000, 17, &model, 4);
+        let counts = run_trajectories(&qc, 8_000, 17, &model, 4, 1, &Obs::disabled());
         let flipped = *counts.get("00").unwrap_or(&0) as f64 / 8_000.0;
         assert!((flipped - 0.5).abs() < 0.05, "p10 rate {flipped}");
         assert_eq!(counts.get("10"), None, "qubit 1 has no readout error");
@@ -302,17 +304,15 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        #[allow(deprecated)]
-        let model = NoiseModel::flat(0.0005, 0.01, 0.004);
-        let a = run_noisy(&ghz(5), 400, 9, &model, 16);
-        let b = run_noisy(&ghz(5), 400, 9, &model, 16);
+        let model = uniform(0.0005, 0.01, 0.004);
+        let a = run_trajectories(&ghz(5), 400, 9, &model, 16, 1, &Obs::disabled());
+        let b = run_trajectories(&ghz(5), 400, 9, &model, 16, 1, &Obs::disabled());
         assert_eq!(a, b);
     }
 
     #[test]
     fn worker_count_never_changes_counts() {
-        #[allow(deprecated)]
-        let model = NoiseModel::flat(0.001, 0.02, 0.01);
+        let model = uniform(0.001, 0.02, 0.01);
         let obs = Obs::disabled();
         let serial = run_trajectories(&ghz(6), 2000, 42, &model, 64, 1, &obs);
         for workers in [2, 4, 8, 64, 200] {
@@ -323,10 +323,9 @@ mod tests {
 
     #[test]
     fn shots_conserved_across_trajectories() {
-        #[allow(deprecated)]
-        let model = NoiseModel::flat(0.0005, 0.01, 0.004);
+        let model = uniform(0.0005, 0.01, 0.004);
         for shots in [1usize, 7, 63, 64, 65, 1000] {
-            let counts = run_noisy(&ghz(4), shots, 1, &model, 64);
+            let counts = run_trajectories(&ghz(4), shots, 1, &model, 64, 1, &Obs::disabled());
             assert_eq!(counts.values().sum::<usize>(), shots, "shots={shots}");
         }
     }

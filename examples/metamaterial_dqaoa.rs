@@ -19,6 +19,7 @@ use qfw_cloud::CloudConfig;
 use qfw_dqaoa::trace::{duration_cv, max_concurrency, render_timeline};
 use qfw_dqaoa::{solve_dqaoa_traced, DecompPolicy, DqaoaConfig, QaoaConfig};
 use qfw_hpc::ClusterSpec;
+use qfw_noise::{Channel, NoiseModel, ReadoutError};
 use qfw_obs::Obs;
 use qfw_optim::{anneal, AnnealConfig};
 use qfw_workloads::Qubo;
@@ -30,6 +31,11 @@ fn main() {
     let obs = Obs::wall();
     // A fast cloud model so the example finishes in seconds while keeping
     // the queueing/jitter *shape* of a real provider.
+    let mut noise = NoiseModel::empty();
+    noise
+        .add_1q_all(Channel::depolarizing(0.001 / 4.0))
+        .add_2q_all(Channel::depolarizing(0.001))
+        .set_readout_all(ReadoutError::symmetric(0.005));
     let cloud = CloudConfig {
         net_latency: Duration::from_millis(5),
         net_jitter: Duration::from_millis(6),
@@ -37,8 +43,7 @@ fn main() {
         queue_jitter: Duration::from_millis(35),
         gate_time: Duration::from_micros(5),
         job_overhead: Duration::from_millis(5),
-        gate_error: 0.001,
-        readout_flip: 0.005,
+        noise,
         seed: 0xC10D,
         // Default drifting calibration; the example does not exercise it.
         calibration: None,

@@ -9,6 +9,7 @@
 use qfw::{QfwConfig, QfwSession};
 use qfw_cloud::CloudConfig;
 use qfw_hpc::ClusterSpec;
+use qfw_noise::{Channel, NoiseModel, ReadoutError};
 use qfw_workloads::ghz;
 
 fn ghz_fidelity(counts: &std::collections::BTreeMap<String, usize>, n: usize) -> f64 {
@@ -36,12 +37,15 @@ fn main() {
     println!("GHZ-{n} survival probability vs two-qubit error rate:");
     println!("{:>10} {:>12}", "p2", "P(ideal outcome)");
     for p2 in [0.0, 0.002, 0.005, 0.01, 0.02, 0.05] {
+        let mut model = NoiseModel::empty();
+        model
+            .add_2q_all(Channel::depolarizing(p2))
+            .set_readout_all(ReadoutError::symmetric(0.002));
         let backend = session
             .backend(&[
                 ("backend", "nwqsim"),
                 ("subbackend", "cpu"),
-                ("noise_p2", &format!("{p2}")),
-                ("noise_readout", "0.002"),
+                ("noise_model", &model.to_text()),
             ])
             .expect("backend");
         let result = backend.execute_sync(&circuit, 4000).expect("run");

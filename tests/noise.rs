@@ -49,6 +49,37 @@ fn tv_to_reference(counts: &BTreeMap<String, usize>, exact: &[f64], n: usize) ->
         .sum::<f64>()
 }
 
+/// The retired flat noise extras are refused through a session, on the
+/// single-task and the sweep path, so an old caller never gets a
+/// silently ideal run. The adapter raises `BadProperties` naming the
+/// replacement; the QPM RPC hop carries it as its display text.
+#[test]
+fn retired_flat_noise_extras_are_rejected_through_the_stack() {
+    let session = session();
+    let mut template = qfw_circuit::ParamCircuit::new(2);
+    template
+        .rx(0, qfw_circuit::Angle::sym(0))
+        .rzz(0, 1, qfw_circuit::Angle::sym(0))
+        .measure_all();
+    for key in ["noise_p1", "noise_p2", "noise_readout"] {
+        let spec = BackendSpec::of("nwqsim", "cpu").with_extra(key, 0.05);
+        let backend = session.backend_with_spec(spec).unwrap();
+        let single = backend.execute_sync(&ghz(3), 100).unwrap_err();
+        let sweep = backend
+            .execute_sweep_sync(&template, &[vec![0.1], vec![0.2]], 100)
+            .unwrap_err();
+        for err in [single, sweep] {
+            let msg = err.to_string();
+            assert!(
+                msg.contains("bad backend properties")
+                    && msg.contains(key)
+                    && msg.contains("noise_model"),
+                "{key}: {msg}"
+            );
+        }
+    }
+}
+
 #[test]
 fn noisy_execution_matches_density_matrix_reference_through_the_stack() {
     let session = session();

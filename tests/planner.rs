@@ -5,8 +5,8 @@
 //! full stack.
 
 use proptest::prelude::*;
-use qfw::selector::{rank_backends, CLOUD_QUBIT_LIMIT, DENSE_LIMIT};
-use qfw::{BackendSpec, QfwConfig, QfwSession, SelectorContext};
+use qfw::planner::{CLOUD_QUBIT_LIMIT, DEFAULT_PLAN_SHOTS, DENSE_LIMIT};
+use qfw::{BackendSpec, Planner, QfwConfig, QfwSession, SelectorContext};
 use qfw_circuit::analysis::is_clifford;
 use qfw_circuit::Circuit;
 use qfw_hpc::ClusterSpec;
@@ -37,7 +37,11 @@ proptest! {
             random_circuit(n, depth, seed)
         };
         let ctx = SelectorContext { free_cores, cloud_available };
-        let ranked = rank_backends(&qc, ctx);
+        let ranked: Vec<_> = Planner::default()
+            .plan(&qc, DEFAULT_PLAN_SHOTS, ctx)
+            .into_iter()
+            .map(|p| p.rec)
+            .collect();
         prop_assert!(!ranked.is_empty());
 
         let clifford_circuit = is_clifford(&qc);

@@ -9,8 +9,10 @@ use qfw_num::decomp::{eigh, svd};
 use qfw_num::matrix::normalize;
 use qfw_num::rng::Rng;
 use qfw_num::Matrix;
+use qfw_noise::{Channel, NoiseModel, ReadoutError};
+use qfw_obs::Obs;
 use qfw_sim_mps::MpsState;
-use qfw_sim_sv::{StateVector, SvSimulator};
+use qfw_sim_sv::{run_trajectories, StateVector, SvSimulator};
 use qfw_sim_tn::{TnConfig, TnSimulator};
 use qfw_testkit::{random_circuit, random_clifford_circuit};
 use qfw_workloads::Qubo;
@@ -280,11 +282,15 @@ proptest! {
         let qc = random_circuit(4, 10, seed);
         let mut measured = qc.clone();
         measured.measure_all();
-        #[allow(deprecated)]
-        let model = qfw_sim_sv::NoiseModel::flat(0.01, 0.03, 0.01);
-        let a = qfw_sim_sv::noise::run_noisy(&measured, shots, seed, &model, 16);
+        let mut model = NoiseModel::empty();
+        model
+            .add_1q_all(Channel::depolarizing(0.01))
+            .add_2q_all(Channel::depolarizing(0.03))
+            .set_readout_all(ReadoutError::symmetric(0.01));
+        let obs = Obs::disabled();
+        let a = run_trajectories(&measured, shots, seed, &model, 16, 1, &obs);
         prop_assert_eq!(a.values().sum::<usize>(), shots);
-        let b = qfw_sim_sv::noise::run_noisy(&measured, shots, seed, &model, 16);
+        let b = run_trajectories(&measured, shots, seed, &model, 16, 1, &obs);
         prop_assert_eq!(a, b);
     }
 
